@@ -50,22 +50,18 @@ from .degree_graded import (
     newton_recurrence,
 )
 from .lagrange import (
-    BaryWeights,
     bary_weights,
     diff_matrix_lagrange,
     eval_first_form,
     eval_second_form,
-    lagrange_derivative_values,
-    node_polynomial_value,
 )
 from .hermite import (
     GenBaryWeights,
     constant_data,
     diff_matrix_hermite,
     gen_bary_weights,
-    hermite_basis_element,
     hermite_eval,
-    node_polynomial_taylor,
+    node_polynomial_value,
 )
 from .bernstein import (
     bernstein_eval,

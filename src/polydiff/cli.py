@@ -9,7 +9,8 @@ runs as CSV.
 Serialization is text-only and round-trips: exact rationals as "p/q"
 (bare integers without the slash), floats via ``repr``, complex values
 as "a+bi".  Exit codes: 0 success, 1 verification failure, 2 usage
-error (including malformed values and inconsistent flag combinations).
+error (including malformed values, inconsistent flag combinations and
+floating-point breakdown such as weights that underflow to zero).
 """
 
 from __future__ import annotations
@@ -232,12 +233,8 @@ def cmd_matrix(args) -> int:
 def cmd_weights(args) -> int:
     field = Field(args.field)
     ns = _parse_node_set(args, field)
-    if ns.is_simple:
-        w = lagrange.bary_weights(ns)
-        rows = [(i, 0, b) for i, b in enumerate(w.weights)]
-    else:
-        w = hermite.gen_bary_weights(ns)
-        rows = [(i, j, b) for i, wi in enumerate(w.weights) for j, b in enumerate(wi)]
+    w = hermite.gen_bary_weights(ns)
+    rows = [(i, j, b) for i, wi in enumerate(w.weights) for j, b in enumerate(wi)]
     if args.fmt == "json":
         obj = {
             "nodes": [format_scalar(t) for t in ns.nodes],
@@ -361,6 +358,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # constructor-level rejections (duplicate nodes, bad degrees, ...)
         print(f"polydiff: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # floating-point breakdown, e.g. node products that underflow to zero
+        print(f"polydiff: error: arithmetic failure: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,7 @@ b = D a.
 
 from __future__ import annotations
 
+import cmath
 from enum import Enum
 from fractions import Fraction
 
@@ -65,6 +66,9 @@ def coerce_scalar(x, field: Field):
     return complex(x)
 
 
+_SCALAR_TYPE = {Field.RATIONAL: Fraction, Field.REAL: float, Field.COMPLEX: complex}
+
+
 def zero_of(field: Field):
     return coerce_scalar(0, field)
 
@@ -89,10 +93,14 @@ class DenseMatrix:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         if field is None:
             field = join_fields(Field.RATIONAL, *(field_of(e) for e in entries))
+        # entries already of the field's own type coerce to themselves
+        kind = _SCALAR_TYPE[field]
+        if not all(type(e) is kind for e in entries):
+            entries = tuple(coerce_scalar(e, field) for e in entries)
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.entries = tuple(coerce_scalar(e, field) for e in entries)
+        self.entries = entries
 
     @classmethod
     def from_rows(cls, rows, field: Field | None = None) -> "DenseMatrix":
@@ -222,13 +230,14 @@ class CoeffVector:
 
 
 class NodeSet:
-    """Distinct interpolation nodes with per-node confluencies.
+    """Distinct finite interpolation nodes with per-node confluencies.
 
     A node with confluency s carries function data and the first s - 1
     scaled derivatives.  Confluency 1 everywhere is plain interpolation.
+    ``offsets[i]`` is the flat index of node i's first data slot.
     """
 
-    __slots__ = ("nodes", "confluencies", "field")
+    __slots__ = ("nodes", "confluencies", "field", "offsets", "dimension")
 
     def __init__(self, nodes, confluencies=None):
         nodes = tuple(nodes)
@@ -241,22 +250,28 @@ class NodeSet:
             raise ValueError("one confluency per node required")
         if any(s < 1 for s in confluencies):
             raise ValueError("confluencies must be at least 1")
+        field = join_fields(*(field_of(t) for t in nodes))
+        nodes = tuple(coerce_scalar(t, field) for t in nodes)
+        if field is not Field.RATIONAL and not all(map(cmath.isfinite, nodes)):
+            raise ValueError("nodes must be finite numbers")
         for a in range(len(nodes)):
             for b in range(a + 1, len(nodes)):
                 if nodes[a] == nodes[b]:
                     raise ValueError(f"duplicate node {nodes[a]!r}; use a confluency instead")
-        field = join_fields(*(field_of(t) for t in nodes))
-        self.nodes = tuple(coerce_scalar(t, field) for t in nodes)
+        offsets, total = [], 0
+        for s in confluencies:
+            offsets.append(total)
+            total += s
+        self.nodes = nodes
         self.confluencies = confluencies
         self.field = field
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.confluencies)
+        self.offsets = tuple(offsets)
+        self.dimension = total
 
     @property
     def is_simple(self) -> bool:
-        return all(s == 1 for s in self.confluencies)
+        # every confluency is at least 1, so they sum to len(nodes) only if all are 1
+        return self.dimension == len(self.nodes)
 
     def flat_nodes(self) -> tuple:
         """Nodes repeated by confluency, node-major."""
@@ -269,7 +284,7 @@ class NodeSet:
         """Flat index of derivative order j at node i in the data layout."""
         if not (0 <= i < len(self.nodes)) or not (0 <= j < self.confluencies[i]):
             raise IndexError(f"no slot ({i}, {j}) in this node set")
-        return sum(self.confluencies[:i]) + j
+        return self.offsets[i] + j
 
     def __len__(self):
         return len(self.nodes)

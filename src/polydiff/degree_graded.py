@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .core import (
     CoeffVector,
+    DegreeGradedBasis,
     DenseMatrix,
     Field,
     NodeSet,
@@ -90,22 +91,18 @@ def newton_recurrence(points) -> RecurrenceSpec:
 
 
 def monomial_basis(n: int):
-    from .core import DegreeGradedBasis
     return DegreeGradedBasis(monomial_recurrence(n), n, name="monomial")
 
 
 def chebyshev_basis(n: int):
-    from .core import DegreeGradedBasis
     return DegreeGradedBasis(chebyshev_recurrence(n), n, name="chebyshev")
 
 
 def legendre_basis(n: int):
-    from .core import DegreeGradedBasis
     return DegreeGradedBasis(legendre_recurrence(n), n, name="legendre")
 
 
 def newton_basis(nodes):
-    from .core import DegreeGradedBasis
     nodes = as_node_set(nodes)
     zs = nodes.flat_nodes()
     basis = DegreeGradedBasis(newton_recurrence(zs[:-1]), len(zs) - 1, name="newton")

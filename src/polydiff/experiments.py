@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .core import NodeSet, mat_apply, mat_inf_norm, vec_inf_norm
 from .hermite import constant_data, diff_matrix_hermite, gen_bary_weights, hermite_eval
-from .lagrange import bary_weights, diff_matrix_lagrange, eval_first_form
 
 DEFAULT_SIZES = (3, 5, 8, 13, 21, 34, 55)
 GRID_POINTS = 1001
@@ -84,14 +83,6 @@ def hermite_error_record(n: int, family: str, confluency: int) -> ExperimentReco
     return ExperimentRecord(n, family, confluency, max_err=err)
 
 
-def lagrange_error_record(n: int, family: str) -> ExperimentRecord:
-    nodes = _node_set(n, family, 1)
-    w = bary_weights(nodes)
-    values = [1.0] * (n + 1)
-    err = max(abs(eval_first_form(w, values, z) - 1.0) for z in _grid())
-    return ExperimentRecord(n, family, 1, max_err=err)
-
-
 def run_experiment(which: str, node_family: str = "chebyshev",
                    confluency: int = 3, ns=None) -> list[ExperimentRecord]:
     """One record per size; sizes default to the built-in list."""
@@ -106,10 +97,10 @@ def run_experiment(which: str, node_family: str = "chebyshev",
             raise ValueError("sizes must be positive")
         if which == "hermite-norms":
             out.append(hermite_norms_record(n, node_family, confluency))
-        elif which == "hermite-error":
-            out.append(hermite_error_record(n, node_family, confluency))
         else:
-            out.append(lagrange_error_record(n, node_family))
+            # lagrange-error is the confluency-1 case of hermite-error
+            s = confluency if which == "hermite-error" else 1
+            out.append(hermite_error_record(n, node_family, s))
     return out
 
 

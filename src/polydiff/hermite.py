@@ -1,4 +1,8 @@
-"""Hermite interpolation with confluent nodes, in barycentric style.
+"""Barycentric interpolation at simple and confluent nodes: the one core.
+
+Simple nodes are confluent nodes with confluency 1, so this module
+serves both the Hermite and the Lagrange interpolational bases;
+``lagrange.py`` holds the confluency-1 entry points over it.
 
 Data layout
 -----------
@@ -18,11 +22,18 @@ partial fraction expansion
     1 / w(z) = sum_i sum_{j < s_i} b_{i,j} / (z - t_i)^(j+1),
 
 where w is the node polynomial prod (z - t_i)^(s_i).  They are read off
-a truncated reciprocal power series of w(z) / (z - t_i)^(s_i) about each
-node, which keeps the whole computation local and exact over rationals.
+a truncated reciprocal power series of g_i(z) = w(z) / (z - t_i)^(s_i)
+about each node, which keeps the whole computation local and exact over
+rationals.  At confluency 1 they are the barycentric weights
+1 / prod_{m != i} (t_i - t_m).
 """
 
 from __future__ import annotations
+
+import cmath
+from functools import reduce
+from itertools import accumulate, chain, repeat
+from operator import add, mul
 
 from .core import (
     CoeffVector,
@@ -31,92 +42,87 @@ from .core import (
     HermiteBasis,
     NodeSet,
     as_node_set,
+    field_of,
+    join_fields,
     one_of,
     zero_of,
 )
-from .lagrange import node_polynomial_value
-from .series import (
-    linear_power_series,
-    series_div,
-    series_mul_linear,
-    series_reciprocal,
-    series_shift,
-    series_trunc,
-)
+from .series import series_reciprocal
 
 
 class GenBaryWeights:
     """Generalized barycentric weights, one ragged row per node.
 
-    ``weights[i][j]`` stores b_{i,j} for 0 <= j < s_i.  The true weight
-    is ``scale * weights[i][j]``; ``scale`` is 1 unless the weights were
-    normalized to unit max modulus.
+    ``weights[i][j]`` stores b_{i,j} for 0 <= j < s_i.
     """
 
-    __slots__ = ("nodes", "weights", "scale")
+    __slots__ = ("nodes", "weights")
 
-    def __init__(self, nodes: NodeSet, weights, scale=1):
+    def __init__(self, nodes: NodeSet, weights):
         self.nodes = nodes
         self.weights = tuple(tuple(row) for row in weights)
-        self.scale = scale
 
     def __repr__(self):
-        return f"GenBaryWeights({len(self.weights)} nodes, scale={self.scale})"
+        return f"GenBaryWeights({len(self.weights)} nodes)"
 
 
-def _other_factor_series(nodes: NodeSet, i: int, order: int) -> list:
-    """Taylor coefficients about t_i of prod_{m != i} (z - t_m)^(s_m)."""
-    ti = nodes.nodes[i]
-    out = series_trunc([one_of(nodes.field)], order)
-    for m, (tm, sm) in enumerate(zip(nodes.nodes, nodes.confluencies)):
-        if m == i:
-            continue
-        for _ in range(sm):
-            out = series_mul_linear(out, ti - tm, order)
+def node_polynomial_value(nodes, z):
+    """w(z) = prod (z - t_k)^(s_k), multiplied out left to right."""
+    nodes = as_node_set(nodes)
+    factors = map(repeat, [z - t for t in nodes.nodes], nodes.confluencies)
+    return reduce(mul, chain.from_iterable(factors))
+
+
+def _next_column(q, prev_and_c):
+    """One factor's update of a later Taylor coefficient: g_t <- g_{t-1} + c g_t."""
+    prev, c = prev_and_c
+    return prev + c * q
+
+
+def _local_series(nodes: NodeSet, extra: int) -> list:
+    """Taylor coefficients of every g_i about its own node t_i.
+
+    Entry i lists the coefficients of u^0 .. u^(s_i - 1 + extra) with
+    u = z - t_i, from multiplying in one linear factor (u + t_i - t_m)
+    at a time.  Column t of that product is a running recurrence over
+    the factors, g_0 <- g_0 c and g_t <- g_{t-1} + c g_t, so each
+    coefficient is one scan over the previous coefficient's history.
+    """
+    flat = nodes.flat_nodes()
+    one, zero = one_of(nodes.field), zero_of(nodes.field)
+    out = []
+    for ti, si, oi in zip(nodes.nodes, nodes.confluencies, nodes.offsets):
+        factors = [ti - tm for tm in flat[:oi]] + [ti - tm for tm in flat[oi + si:]]
+        column = list(accumulate(factors, mul, initial=one))
+        g = [column[-1]]
+        for _ in range(si - 1 + extra):
+            column = list(accumulate(zip(column, factors), _next_column, initial=zero))
+            g.append(column[-1])
+        out.append(g)
     return out
 
 
-def node_polynomial_taylor(nodes, center: int, order: int) -> tuple:
-    """Taylor coefficients of the node polynomial w about node ``center``.
-
-    Returns coefficients of u^0 .. u^order with u = z - t_center,
-    computed by repeated multiplication of shifted linear factors.
-    """
-    nodes = as_node_set(nodes)
-    if not (0 <= center < len(nodes)):
-        raise IndexError(f"no node {center} in this node set")
-    ti = nodes.nodes[center]
-    out = series_trunc([one_of(nodes.field)], order)
-    for tm, sm in zip(nodes.nodes, nodes.confluencies):
-        for _ in range(sm):
-            out = series_mul_linear(out, ti - tm, order)
-    return tuple(out)
+def _weights_from_series(nodes: NodeSet, local) -> GenBaryWeights:
+    """Invert each g_i to order s_i - 1; b_{i, s_i-1-t} is coefficient t."""
+    rows = []
+    for i, (g, si) in enumerate(zip(local, nodes.confluencies)):
+        if g[0] == 0 or (nodes.field is not Field.RATIONAL and not cmath.isfinite(g[0])):
+            raise ArithmeticError(f"the node product g_{i}(t_{i}) = {g[0]!r} "
+                                  "is outside the floating-point range")
+        h = series_reciprocal(g, si - 1)
+        rows.append([h[si - 1 - j] for j in range(si)])
+    return GenBaryWeights(nodes, rows)
 
 
-def gen_bary_weights(nodes, normalize: bool = False) -> GenBaryWeights:
+def gen_bary_weights(nodes) -> GenBaryWeights:
     """Partial fraction coefficients of 1/w, node by node.
 
     For node i, expand g_i = w(z) / (z - t_i)^(s_i) about t_i, invert
     the series to order s_i - 1, and read the weights in reverse:
     b_{i, s_i-1-t} is the order-t reciprocal coefficient.
-
-    With ``normalize`` (floating fields only) all weights are divided by
-    the largest modulus, recorded as ``scale``.
     """
     nodes = as_node_set(nodes)
-    weights = []
-    for i, si in enumerate(nodes.confluencies):
-        g = _other_factor_series(nodes, i, si - 1)
-        h = series_reciprocal(g, si - 1)
-        row = [h[si - 1 - j] for j in range(si)]
-        weights.append(row)
-    scale = 1
-    if normalize:
-        if nodes.field is Field.RATIONAL:
-            raise ValueError("normalization applies to floating fields only")
-        scale = max(abs(b) for row in weights for b in row)
-        weights = [[b / scale for b in row] for row in weights]
-    return GenBaryWeights(nodes, weights, scale)
+    return _weights_from_series(nodes, _local_series(nodes, 0))
 
 
 def hermite_eval(w: GenBaryWeights, data, z):
@@ -130,56 +136,40 @@ def hermite_eval(w: GenBaryWeights, data, z):
     data = tuple(data)
     if len(data) != nodes.dimension:
         raise ValueError(f"expected {nodes.dimension} data entries, got {len(data)}")
-    for i, t in enumerate(nodes.nodes):
-        if z == t:
-            return data[nodes.slot(i, 0)]
+    if z in nodes.nodes:
+        return data[nodes.offsets[nodes.nodes.index(z)]]
+    if nodes.is_simple:
+        # the loop below with its one term per node, same operations and so
+        # the same bits; w(z) reuses the differences
+        diffs = [z - t for t in nodes.nodes]
+        total = reduce(add, [b * d * (1 / x) ** 1 for (b,), d, x in zip(w.weights, data, diffs)])
+        return reduce(mul, diffs) * total
     total = None
-    for i, (t, si) in enumerate(zip(nodes.nodes, nodes.confluencies)):
+    for t, row, o in zip(nodes.nodes, w.weights, nodes.offsets):
         inv = 1 / (z - t)
-        # Horner in inv: sum over pole order q = j + 1 - k
         local = None
-        for j in range(si):
-            bij = w.weights[i][j]
+        for j, bij in enumerate(row):
             for k in range(j + 1):
-                term = bij * data[nodes.slot(i, k)] * inv ** (j + 1 - k)
+                term = bij * data[o + k] * inv ** (j + 1 - k)
                 local = term if local is None else local + term
         total = local if total is None else total + local
-    return w.scale * node_polynomial_value(nodes, z) * total
-
-
-def hermite_basis_element(w: GenBaryWeights, i: int, j: int, z):
-    """Value at z of the cardinal function for slot (i, j).
-
-    The cardinal function H_{i,j} has order-k scaled derivative at t_l
-    equal to 1 exactly when (l, k) = (i, j); its closed form is
-    sum_k b_{i, j+k} w(z) / (z - t_i)^(k+1).
-    """
-    nodes = w.nodes
-    if not (0 <= i < len(nodes)) or not (0 <= j < nodes.confluencies[i]):
-        raise IndexError(f"no basis element ({i}, {j}) for this node set")
-    for l, t in enumerate(nodes.nodes):
-        if z == t:
-            hit = l == i and j == 0
-            return one_of(nodes.field) if hit else zero_of(nodes.field)
-    si = nodes.confluencies[i]
-    wz = node_polynomial_value(nodes, z)
-    inv = 1 / (z - nodes.nodes[i])
-    acc = None
-    for k in range(si - j):
-        term = w.weights[i][j + k] * wz * inv ** (k + 1)
-        acc = term if acc is None else acc + term
-    return w.scale * acc
+    return node_polynomial_value(nodes, z) * total
 
 
 def constant_data(nodes, value=1) -> CoeffVector:
-    """Layout vector of the constant polynomial: value at each node, zero derivatives."""
+    """Layout vector of the constant polynomial: value at each node, zero derivatives.
+
+    The entries share the nodes' field (or the value's, if larger), so
+    floating nodes get floating data even at confluency 1.
+    """
     nodes = as_node_set(nodes)
     zero = zero_of(nodes.field)
     out = []
     for s in nodes.confluencies:
         out.append(value)
         out.extend([zero] * (s - 1))
-    return CoeffVector(out, basis=HermiteBasis(nodes))
+    return CoeffVector(out, basis=HermiteBasis(nodes),
+                       field=join_fields(nodes.field, field_of(value)))
 
 
 def diff_matrix_hermite(nodes) -> DenseMatrix:
@@ -187,34 +177,42 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
 
     Maps the layout of p to the layout of p'.  For output order
     j < s_i - 1 the row is a shift, (j+1) times input slot (i, j+1).
-    The single nontrivial row per node (output order s_i - 1) needs the
-    order-s_i Taylor coefficient of every cardinal function about t_i:
-    expand w(z)/(z - t_l)^(k+1) about t_i by truncated series division
-    (for l = i the node factor inside w cancels the pole), combine per
-    the cardinal closed form, and differentiate termwise.
+    The single nontrivial row per node (output order s_i - 1) is s_i
+    times the order-s_i Taylor coefficient about t_i of every cardinal
+    function, sum_k b_{l,m+k} w(z) / (z - t_l)^(k+1).  That coefficient
+    of w(z) / (z - t_l)^(k+1) is g_i(t_i) / (t_i - t_l)^(k+1) for l != i,
+    and the coefficient k+1 of g_i for l = i, where the pole cancels
+    against the node factor inside w.  At confluency 1 the entries are
+    b_l g_i(t_i) / (t_i - t_l) off the diagonal and g_i'(t_i) / g_i(t_i)
+    on it.  Construction is O(dim^2) once the g_i are known.
     """
     nodes = as_node_set(nodes)
-    w = gen_bary_weights(nodes)
+    local = _local_series(nodes, 1)
+    w = _weights_from_series(nodes, local)
     dim = nodes.dimension
-    zero = zero_of(nodes.field)
-    rows = [[zero] * dim for _ in range(dim)]
-    for i, si in enumerate(nodes.confluencies):
-        for j in range(si - 1):
-            rows[nodes.slot(i, j)][nodes.slot(i, j + 1)] = (j + 1) * one_of(nodes.field)
-        r = nodes.slot(i, si - 1)
-        # Taylor data about t_i, one series per (source node l, pole order k+1)
-        gi = _other_factor_series(nodes, i, si)
-        w_about_i = series_shift(gi, si, si)
-        for l, sl in enumerate(nodes.confluencies):
-            pole_series = []
-            for k in range(sl):
-                if l == i:
-                    pole_series.append(series_shift(gi, si - k - 1, si))
-                else:
-                    den = linear_power_series(nodes.nodes[i] - nodes.nodes[l], k + 1, si)
-                    pole_series.append(series_div(w_about_i, den, si))
+    one, zero = one_of(nodes.field), zero_of(nodes.field)
+    columns = list(zip(nodes.nodes, nodes.confluencies, w.weights))
+    rows = []
+    for i, (ti, si, gi) in enumerate(zip(nodes.nodes, nodes.confluencies, local)):
+        oi = nodes.offsets[i]
+        for j in range(1, si):
+            row = [zero] * dim
+            row[oi + j] = j * one
+            rows.append(row)
+        g0 = gi[0]
+        row = []
+        for l, (tl, sl, wl) in enumerate(columns):
+            if l == i:
+                coeffs = gi[1:]
+            else:
+                # powers of c by repeated multiplication from c ** 0
+                c = ti - tl
+                p = c ** 0 * c
+                coeffs = [g0 / p]
+                for _ in range(1, sl):
+                    p = p * c
+                    coeffs.append(g0 / p)
             for m in range(sl):
-                t_si = sum(w.weights[l][m + k] * pole_series[k][si]
-                           for k in range(sl - m))
-                rows[r][nodes.slot(l, m)] = si * t_si
+                row.append(si * sum(map(mul, wl[m:], coeffs)))
+        rows.append(row)
     return DenseMatrix.from_rows(rows, nodes.field)

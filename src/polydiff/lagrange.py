@@ -1,154 +1,59 @@
 """Barycentric Lagrange interpolation and its differentiation matrix.
 
-Weights use the direct product formula in the input field.  For the
-problem sizes this package targets (up to a few hundred nodes) that is
-enough; an optional power-of-two rescaling is available for node sets
-whose weight magnitudes would otherwise leave the double range.
+Simple nodes are confluent nodes with confluency 1, so the weights, the
+first barycentric form and the matrix come from the core in
+``hermite.py``; this module adds the check that the nodes are simple
+and the second barycentric form.
 """
 
 from __future__ import annotations
 
-import math
-
-from .core import (
-    CoeffVector,
-    DenseMatrix,
-    Field,
-    as_node_set,
-    one_of,
-    zero_of,
-)
+from .core import DenseMatrix, NodeSet, as_node_set
+from .hermite import GenBaryWeights, diff_matrix_hermite, gen_bary_weights, hermite_eval
 
 
-class BaryWeights:
-    """Barycentric weights for simple nodes.
-
-    The true weight is ``ldexp(weights[k], log2_scale)``; the stored
-    values carry a common power of two factored out when the weights
-    were built with rescaling.
-    """
-
-    __slots__ = ("nodes", "weights", "log2_scale")
-
-    def __init__(self, nodes, weights, log2_scale: int = 0):
-        self.nodes = nodes
-        self.weights = tuple(weights)
-        self.log2_scale = log2_scale
-
-    def __repr__(self):
-        return f"BaryWeights({len(self.weights)} nodes, log2_scale={self.log2_scale})"
-
-
-def bary_weights(nodes, rescale: bool = False) -> BaryWeights:
-    """Weights beta_k = prod_{j != k} (t_k - t_j)^(-1).
-
-    With ``rescale`` set (floating fields only) the products track a
-    separate binary exponent, and a common power of two is factored out
-    so the stored weights stay comfortably inside the double range.
-    """
+def _simple_nodes(nodes) -> NodeSet:
     nodes = as_node_set(nodes)
     if not nodes.is_simple:
         raise ValueError("barycentric weights need simple nodes; see gen_bary_weights")
-    ts = nodes.nodes
-    if rescale:
-        if nodes.field is not Field.REAL:
-            raise ValueError("rescaling applies to real double nodes only")
-        mantissas, exps = [], []
-        for k, tk in enumerate(ts):
-            m, e = 1.0, 0
-            for j, tj in enumerate(ts):
-                if j != k:
-                    m, fe = math.frexp(m * (tk - tj))
-                    e += fe
-            mantissas.append(1.0 / m)
-            exps.append(-e)
-        shift = max(exps)
-        weights = [math.ldexp(m, e - shift) for m, e in zip(mantissas, exps)]
-        return BaryWeights(nodes, weights, shift)
-    one = one_of(nodes.field)
-    weights = []
-    for k, tk in enumerate(ts):
-        prod = one
-        for j, tj in enumerate(ts):
-            if j != k:
-                prod = prod * (tk - tj)
-        weights.append(1 / prod)
-    return BaryWeights(nodes, weights, 0)
+    return nodes
 
 
-def node_polynomial_value(nodes, z):
-    """w(z) = prod (z - t_k)^(s_k)."""
-    nodes = as_node_set(nodes)
-    out = None
-    for t, s in zip(nodes.nodes, nodes.confluencies):
-        for _ in range(s):
-            out = (z - t) if out is None else out * (z - t)
-    return out
+def bary_weights(nodes) -> GenBaryWeights:
+    """Weights beta_k = prod_{j != k} (t_k - t_j)^(-1), stored as weights[k][0]."""
+    return gen_bary_weights(_simple_nodes(nodes))
 
 
-def eval_first_form(w: BaryWeights, values, z):
+def eval_first_form(w: GenBaryWeights, values, z):
     """First barycentric form w(z) * sum beta_k rho_k / (z - t_k).
 
     Hitting a node exactly returns the stored value for that node.
     """
-    values = tuple(values)
-    ts = w.nodes.nodes
-    if len(values) != len(ts):
-        raise ValueError("one value per node required")
-    for k, t in enumerate(ts):
-        if z == t:
-            return values[k]
-    acc = sum(b * v / (z - t) for b, v, t in zip(w.weights, values, ts))
-    out = node_polynomial_value(w.nodes, z) * acc
-    if w.log2_scale:
-        out = math.ldexp(out, w.log2_scale)
-    return out
+    _simple_nodes(w.nodes)
+    return hermite_eval(w, values, z)
 
 
-def eval_second_form(w: BaryWeights, values, z):
+def eval_second_form(w: GenBaryWeights, values, z):
     """Second barycentric form, the ratio of the two weighted sums."""
+    ts = _simple_nodes(w.nodes).nodes
     values = tuple(values)
-    ts = w.nodes.nodes
     if len(values) != len(ts):
         raise ValueError("one value per node required")
     for k, t in enumerate(ts):
         if z == t:
             return values[k]
-    num = sum(b * v / (z - t) for b, v, t in zip(w.weights, values, ts))
-    den = sum(b / (z - t) for b, t in zip(w.weights, ts))
+    bs = [row[0] for row in w.weights]
+    num = sum(b * v / (z - t) for b, v, t in zip(bs, values, ts))
+    den = sum(b / (z - t) for b, t in zip(bs, ts))
     return num / den
 
 
 def diff_matrix_lagrange(nodes) -> DenseMatrix:
     """Differentiation matrix on function values at simple nodes.
 
-    Off-diagonal entries are beta_j / (beta_i (t_i - t_j)); diagonal
-    entries make every row sum to zero, which is differentiation acting
-    on the constant function.  Construction is O(n^2).
+    Entry (i, j) is the derivative at t_i of the j-th cardinal function,
+    beta_j / (beta_i (t_i - t_j)) off the diagonal; the core forms it from
+    the node products directly (see ``diff_matrix_hermite``).
+    Construction is O(n^2).
     """
-    nodes = as_node_set(nodes)
-    w = bary_weights(nodes)
-    ts = nodes.nodes
-    n = len(ts)
-    zero = zero_of(nodes.field)
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        diag = zero
-        bi = w.weights[i]
-        for j in range(n):
-            if j == i:
-                continue
-            d = w.weights[j] / (bi * (ts[i] - ts[j]))
-            rows[i][j] = d
-            diag -= d
-        rows[i][i] = diag
-    return DenseMatrix.from_rows(rows, nodes.field)
-
-
-def lagrange_derivative_values(nodes, values) -> CoeffVector:
-    """Values of p' at the nodes, given values of p at the nodes."""
-    from .core import LagrangeBasis, mat_apply
-    nodes = as_node_set(nodes)
-    D = diff_matrix_lagrange(nodes)
-    out = mat_apply(D, tuple(values))
-    return CoeffVector(out.coeffs, basis=LagrangeBasis(nodes), field=out.field)
+    return diff_matrix_hermite(_simple_nodes(nodes))

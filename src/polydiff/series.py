@@ -17,28 +17,6 @@ def series_trunc(a, order: int) -> list:
     return a[:order + 1]
 
 
-def series_mul(a, b, order: int) -> list:
-    a = series_trunc(a, order)
-    b = series_trunc(b, order)
-    zero = a[0] * 0
-    out = [zero] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(0, order + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def series_mul_linear(a, c, order: int) -> list:
-    """Multiply a series by the linear factor (u + c)."""
-    a = series_trunc(a, order)
-    out = [a[0] * c]
-    for t in range(1, order + 1):
-        out.append(a[t - 1] + c * a[t])
-    return out
-
-
 def series_reciprocal(a, order: int) -> list:
     """Reciprocal of a series with nonzero constant term.
 
@@ -53,37 +31,3 @@ def series_reciprocal(a, order: int) -> list:
         acc = sum(a[r] * h[t - r] for r in range(1, t + 1))
         h.append(-acc / a[0])
     return h
-
-
-def series_div(num, den, order: int) -> list:
-    """Truncated quotient num / den; den must have nonzero constant term."""
-    num = series_trunc(num, order)
-    den = series_trunc(den, order)
-    if den[0] == 0:
-        raise ZeroDivisionError("series division needs a nonzero constant term")
-    h = []
-    for t in range(order + 1):
-        acc = num[t] - sum(den[r] * h[t - r] for r in range(1, t + 1))
-        h.append(acc / den[0])
-    return h
-
-
-def series_shift(a, k: int, order: int) -> list:
-    """Multiply by u^k, truncating at the given order."""
-    a = series_trunc(a, order)
-    zero = a[0] * 0
-    return series_trunc([zero] * k + a, order)
-
-
-def series_derivative(a) -> list:
-    """Termwise derivative; drops the constant slot."""
-    a = list(a)
-    return [t * a[t] for t in range(1, len(a))]
-
-
-def linear_power_series(c, e: int, order: int) -> list:
-    """Coefficients of (u + c)^e, truncated at the given order."""
-    out = series_trunc([c ** 0], order)
-    for _ in range(e):
-        out = series_mul_linear(out, c, order)
-    return out

@@ -255,6 +255,21 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("polydiff: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "nan,nan,1"],
+    ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "0,inf"],
+    # the node products underflow to zero, or overflow, in double precision
+    ["experiment", "--which", "lagrange-error", "--n", "1100"],
+    ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "0,1e200,-1e200"],
+])
+def test_float_breakdown_exits_2_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("polydiff: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_choices_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--basis", "fourier", "--degree", "2"])

@@ -180,6 +180,16 @@ def test_node_set_confluencies_and_slots():
         ns.slot(2, 2)
     with pytest.raises(IndexError):
         ns.slot(3, 0)
+    assert ns.offsets == (0, 3, 7)
+    for conf in ([1], [5], [1, 1, 1, 1], [2, 1, 3, 1, 4], [4, 4, 1]):
+        ns = NodeSet(range(len(conf)), conf)
+        flat = [(i, j) for i, s in enumerate(conf) for j in range(s)]
+        assert [ns.slot(i, j) for i, j in flat] == list(range(len(flat)))
+        assert ns.dimension == len(flat)
+        assert ns.is_simple == all(s == 1 for s in conf)
+        for i, j in ((-1, 0), (0, -1), (0, conf[0]), (len(conf), 0)):
+            with pytest.raises(IndexError):
+                ns.slot(i, j)
 
 
 def test_node_set_defaults_to_simple():
@@ -196,6 +206,10 @@ def test_node_set_rejects_bad_input():
         NodeSet([0, 1], [1])
     with pytest.raises(ValueError):
         NodeSet([0, 1], [1, 0])
+    for bad in (float("nan"), float("inf"), -float("inf"),
+                complex(0, float("nan")), complex(float("inf"), 1)):
+        with pytest.raises(ValueError, match="finite"):
+            NodeSet([0.5, bad, 1.0])
 
 
 def test_node_set_joins_fields():

@@ -5,6 +5,7 @@ defining data functionals and differentiates it as a plain coefficient
 list, so none of the package's series machinery is trusted twice.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,11 +16,9 @@ from polydiff.hermite import (
     constant_data,
     diff_matrix_hermite,
     gen_bary_weights,
-    hermite_basis_element,
     hermite_eval,
-    node_polynomial_taylor,
+    node_polynomial_value,
 )
-from polydiff.lagrange import bary_weights, diff_matrix_lagrange, node_polynomial_value
 from polydiff.structure import conjugation_oracle, nilpotency_index
 
 import _oracles as orc
@@ -55,14 +54,14 @@ def test_hand_worked_double_node():
     # w = z^2 (z - 1): residues -1, -1 at 0 and 1 at 1
     w = gen_bary_weights(NodeSet([0, 1], [2, 1]))
     assert w.weights == ((Fraction(-1), Fraction(-1)), (Fraction(1),))
-    assert w.scale == 1
 
 
 def test_confluency_one_reduces_to_simple_weights():
     ns = NodeSet([Fraction(-1), Fraction(1, 3), Fraction(2)])
     gw = gen_bary_weights(ns)
-    sw = bary_weights(ns)
-    assert tuple(row[0] for row in gw.weights) == sw.weights
+    # the product formula 1 / prod_{j != k} (t_k - t_j)
+    want = tuple((1 / math.prod(tk - tj for tj in ns.nodes if tj != tk),) for tk in ns.nodes)
+    assert gw.weights == want
 
 
 def test_partial_fraction_expansion_is_exact():
@@ -76,35 +75,6 @@ def test_partial_fraction_expansion_is_exact():
                       for i, t in enumerate(ns.nodes)
                       for j in range(ns.confluencies[i]))
             assert lhs == 1 / node_polynomial_value(ns, z)
-
-
-def test_normalize_scales_to_unit_max():
-    ns = NodeSet([-1.0, 0.0, 1.0], [2, 2, 2])
-    w = gen_bary_weights(ns, normalize=True)
-    mags = [abs(b) for row in w.weights for b in row]
-    assert max(mags) == pytest.approx(1.0)
-    plain = gen_bary_weights(ns)
-    assert w.scale * w.weights[0][0] == pytest.approx(plain.weights[0][0])
-
-
-def test_normalize_rejects_rational_nodes():
-    with pytest.raises(ValueError):
-        gen_bary_weights(NodeSet([0, 1], [2, 1]), normalize=True)
-
-
-def test_node_polynomial_taylor_matches_expansion():
-    ns = NodeSet([Fraction(0), Fraction(1), Fraction(-2)], [2, 1, 2])
-    # w(z) as a monomial polynomial
-    w = [Fraction(1)]
-    for t, s in zip(ns.nodes, ns.confluencies):
-        for _ in range(s):
-            w = orc.poly_mul(w, [-t, Fraction(1)])
-    for center in range(3):
-        got = node_polynomial_taylor(ns, center, 4)
-        want = tuple(orc.poly_shifted_eval(w, ns.nodes[center], k) for k in range(5))
-        assert got == want
-    with pytest.raises(IndexError):
-        node_polynomial_taylor(ns, 3, 2)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -131,17 +101,15 @@ def test_eval_hits_nodes():
 
 
 def test_basis_elements_match_cardinal_polynomials():
+    # the interpolant of a unit data vector is the cardinal function of its slot
     ns = NodeSet([Fraction(-1), Fraction(0), Fraction(1)], [2, 1, 2])
     w = gen_bary_weights(ns)
     cards = orc.hermite_polys(ns.nodes, ns.confluencies)
-    slots = orc.hermite_slots(ns.nodes, ns.confluencies)
-    for card, (i, j) in zip(cards, slots):
+    for r, card in enumerate(cards):
+        unit = [Fraction(int(r == c)) for c in range(ns.dimension)]
         for z in (Fraction(1, 2), Fraction(3), Fraction(-5, 2)):
-            assert hermite_basis_element(w, i, j, z) == orc.poly_eval(card, z)
-    assert hermite_basis_element(w, 0, 0, Fraction(-1)) == 1
-    assert hermite_basis_element(w, 0, 1, Fraction(-1)) == 0
-    with pytest.raises(IndexError):
-        hermite_basis_element(w, 1, 1, Fraction(2))
+            assert hermite_eval(w, unit, z) == orc.poly_eval(card, z)
+        assert hermite_eval(w, unit, Fraction(-1)) == (1 if r == 0 else 0)
 
 
 def test_constant_data_layout():
@@ -181,8 +149,9 @@ def test_trivial_rows_shift_scaled_derivatives():
 
 
 def test_confluency_one_equals_lagrange():
-    ns = NodeSet([Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(7, 3)])
-    assert diff_matrix_hermite(ns) == diff_matrix_lagrange(ns)
+    ts = [Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(7, 3)]
+    want = DenseMatrix.from_rows(orc.diff_matrix_by_values(orc.lagrange_polys(ts), ts))
+    assert diff_matrix_hermite(NodeSet(ts)) == want
 
 
 def test_constant_annihilation():

@@ -5,16 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polydiff.series import (
-    linear_power_series,
-    series_derivative,
-    series_div,
-    series_mul,
-    series_mul_linear,
-    series_reciprocal,
-    series_shift,
-    series_trunc,
-)
+from polydiff.series import series_reciprocal, series_trunc
 
 import _oracles as orc
 
@@ -26,21 +17,6 @@ def test_trunc_pads_and_cuts():
     assert series_trunc([1, 2], 3) == [1, 2, 0, 0]
     assert series_trunc([1, 2, 3, 4], 1) == [1, 2]
     assert series_trunc([], 2) == [0, 0, 0]
-
-
-def test_mul_matches_polynomial_product():
-    a = [Fraction(1), Fraction(2), Fraction(3)]
-    b = [Fraction(-1), Fraction(4)]
-    full = orc.poly_mul(a, b)
-    assert series_mul(a, b, 3) == series_trunc(full, 3)
-    assert series_mul(a, b, 1) == full[:2]
-
-
-def test_mul_linear_is_multiplication_by_u_plus_c():
-    a = [Fraction(2), Fraction(0), Fraction(5)]
-    c = Fraction(-3)
-    want = series_trunc(orc.poly_mul(a, [c, Fraction(1)]), 3)
-    assert series_mul_linear(a, c, 3) == want
 
 
 def test_reciprocal_small_case():
@@ -59,42 +35,4 @@ def test_reciprocal_inverts(coeffs):
         coeffs[0] = Fraction(1)
     order = len(coeffs)
     h = series_reciprocal(coeffs, order)
-    assert series_mul(coeffs, h, order) == [1] + [0] * order
-
-
-@given(st.lists(rational, min_size=1, max_size=5),
-       st.lists(rational, min_size=1, max_size=5))
-def test_div_times_denominator_recovers_numerator(num, den):
-    if den[0] == 0:
-        den[0] = Fraction(2)
-    order = 5
-    q = series_div(num, den, order)
-    assert series_mul(q, den, order) == series_trunc(num, order)
-
-
-def test_div_requires_unit_denominator():
-    with pytest.raises(ZeroDivisionError):
-        series_div([1], [0, 1], 2)
-
-
-def test_shift():
-    assert series_shift([1, 2, 3], 2, 4) == [0, 0, 1, 2, 3]
-    assert series_shift([1, 2, 3], 1, 2) == [0, 1, 2]
-
-
-def test_derivative_drops_constant():
-    assert series_derivative([5, 1, 4]) == [1, 8]
-    assert series_derivative([7]) == []
-
-
-def test_linear_power_series_is_binomial():
-    from math import comb
-    c = Fraction(3, 2)
-    e = 4
-    got = linear_power_series(c, e, 6)
-    want = [comb(e, t) * c ** (e - t) if t <= e else Fraction(0) for t in range(7)]
-    assert got == want
-
-
-def test_linear_power_series_truncates():
-    assert linear_power_series(Fraction(0), 3, 2) == [0, 0, 0]
+    assert series_trunc(orc.poly_mul(coeffs, h), order) == [1] + [0] * order
