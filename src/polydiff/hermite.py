@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add, mul
+from operator import mul
 
 from .core import (
     CoeffVector,
@@ -69,8 +69,12 @@ class GenBaryWeights:
 def node_polynomial_value(nodes, z):
     """w(z) = prod (z - t_k)^(s_k), multiplied out left to right."""
     nodes = as_node_set(nodes)
-    factors = map(repeat, [z - t for t in nodes.nodes], nodes.confluencies)
-    return reduce(mul, chain.from_iterable(factors))
+    return _node_product([z - t for t in nodes.nodes], nodes.confluencies)
+
+
+def _node_product(diffs, confluencies):
+    """prod diffs[k]^(s_k), one factor at a time, left to right."""
+    return reduce(mul, chain.from_iterable(map(repeat, diffs, confluencies)))
 
 
 def _next_column(q, prev_and_c):
@@ -138,22 +142,17 @@ def hermite_eval(w: GenBaryWeights, data, z):
         raise ValueError(f"expected {nodes.dimension} data entries, got {len(data)}")
     if z in nodes.nodes:
         return data[nodes.offsets[nodes.nodes.index(z)]]
-    if nodes.is_simple:
-        # the loop below with its one term per node, same operations and so
-        # the same bits; w(z) reuses the differences
-        diffs = [z - t for t in nodes.nodes]
-        total = reduce(add, [b * d * (1 / x) ** 1 for (b,), d, x in zip(w.weights, data, diffs)])
-        return reduce(mul, diffs) * total
+    diffs = [z - t for t in nodes.nodes]
     total = None
-    for t, row, o in zip(nodes.nodes, w.weights, nodes.offsets):
-        inv = 1 / (z - t)
+    for x, row, o in zip(diffs, w.weights, nodes.offsets):
+        inv = 1 / x
         local = None
         for j, bij in enumerate(row):
             for k in range(j + 1):
                 term = bij * data[o + k] * inv ** (j + 1 - k)
                 local = term if local is None else local + term
         total = local if total is None else total + local
-    return node_polynomial_value(nodes, z) * total
+    return _node_product(diffs, nodes.confluencies) * total
 
 
 def constant_data(nodes, value=1) -> CoeffVector:

@@ -2,13 +2,14 @@
 
 Simple nodes are confluent nodes with confluency 1, so the weights, the
 first barycentric form and the matrix come from the core in
-``hermite.py``; this module adds the check that the nodes are simple
-and the second barycentric form.
+``hermite.py``; this module adds the check that the nodes are simple,
+the negative-sum diagonal of the floating-point matrix and the second
+barycentric form.
 """
 
 from __future__ import annotations
 
-from .core import DenseMatrix, NodeSet, as_node_set
+from .core import DenseMatrix, Field, NodeSet, as_node_set, zero_of
 from .hermite import GenBaryWeights, diff_matrix_hermite, gen_bary_weights, hermite_eval
 
 
@@ -53,7 +54,19 @@ def diff_matrix_lagrange(nodes) -> DenseMatrix:
 
     Entry (i, j) is the derivative at t_i of the j-th cardinal function,
     beta_j / (beta_i (t_i - t_j)) off the diagonal; the core forms it from
-    the node products directly (see ``diff_matrix_hermite``).
-    Construction is O(n^2).
+    the node products directly (see ``diff_matrix_hermite``).  In floating
+    point each diagonal entry is then replaced by minus the sum of its
+    row's other entries, so that D maps constants to zero up to the
+    rounding of that sum (Baltensperger & Trummer 2003); this keeps D f
+    accurate when f has a large constant part.  Exact rows sum to zero
+    already.  Construction is O(n^2).
     """
-    return diff_matrix_hermite(_simple_nodes(nodes))
+    D = diff_matrix_hermite(_simple_nodes(nodes))
+    if D.field is Field.RATIONAL:
+        return D
+    zero = zero_of(D.field)
+    rows = D.to_rows()
+    for i, row in enumerate(rows):
+        row[i] = zero
+        row[i] = zero - sum(row)
+    return DenseMatrix.from_rows(rows, D.field)
