@@ -14,8 +14,10 @@ b = D a.
 from __future__ import annotations
 
 import cmath
+import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 
 class Field(Enum):
@@ -69,6 +71,25 @@ def coerce_scalar(x, field: Field):
 _SCALAR_TYPE = {Field.RATIONAL: Fraction, Field.REAL: float, Field.COMPLEX: complex}
 
 
+def _integer_scaled(xs) -> tuple[int, list[int]]:
+    """Clear the denominators of rationals: (L, [L * x for x in xs]), L their lcm."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _rational_products(rows, cols) -> list:
+    """Dot product of every row with every column, row-major, as Fractions.
+
+    ``cols`` holds ``_integer_scaled`` columns; each row is scaled only
+    while its own entries are formed.
+    """
+    out = []
+    for row in rows:
+        li, ri = _integer_scaled(row)
+        out += [Fraction(sum(map(mul, ri, cj)), li * lj) for lj, cj in cols]
+    return out
+
+
 def zero_of(field: Field):
     return coerce_scalar(0, field)
 
@@ -82,7 +103,11 @@ class DenseMatrix:
 
     Storage is row-major.  Matrices here stay small (a few hundred rows
     at most), so no triangular or banded structure is exploited even
-    when the contents would allow it.
+    when the contents would allow it.  Rational products run over
+    integers: each row of the left factor and each column of the right
+    one is cleared of its denominators once, every dot product is an
+    integer sum, and each output entry is one ``Fraction``.  Floating
+    products sum left to right from zero.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")
@@ -159,13 +184,15 @@ class DenseMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
             field = join_fields(self.field, other.field)
-            zero = zero_of(field)
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    cj = other.column(j)
-                    out.append(sum((a * b for a, b in zip(ri, cj)), zero))
+            if field is Field.RATIONAL:
+                out = _rational_products(map(self.row, range(self.rows)),
+                                         [_integer_scaled(other.column(j))
+                                          for j in range(other.cols)])
+            else:
+                zero = zero_of(field)
+                cols = [other.column(j) for j in range(other.cols)]
+                out = [sum(map(mul, self.row(i), cj), zero)
+                       for i in range(self.rows) for cj in cols]
             return DenseMatrix(self.rows, other.cols, out, field)
         # scalar
         field = join_fields(self.field, field_of(other))
@@ -404,8 +431,11 @@ def mat_apply(M: DenseMatrix, v) -> CoeffVector:
     if M.cols != len(coeffs):
         raise ValueError(f"matrix has {M.cols} columns, vector has {len(coeffs)} entries")
     field = join_fields(M.field, *(field_of(c) for c in coeffs))
-    zero = zero_of(field)
-    out = [sum((a * b for a, b in zip(M.row(i), coeffs)), zero) for i in range(M.rows)]
+    if field is Field.RATIONAL:
+        out = _rational_products(map(M.row, range(M.rows)), [_integer_scaled(coeffs)])
+    else:
+        zero = zero_of(field)
+        out = [sum(map(mul, M.row(i), coeffs), zero) for i in range(M.rows)]
     return CoeffVector(out, basis=basis if M.rows == len(coeffs) else None, field=field)
 
 

@@ -14,6 +14,7 @@ slot (first row) by convention.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 from .core import (
@@ -53,6 +54,9 @@ class RecurrenceSpec:
         self.alpha = tuple(coerce_scalar(a, field) for a in alpha)
         self.beta = tuple(coerce_scalar(b, field) for b in beta)
         self.gamma = tuple(coerce_scalar(g, field) for g in gamma)
+        if field is not Field.RATIONAL and not all(
+                map(cmath.isfinite, self.alpha + self.beta + self.gamma)):
+            raise ValueError("recurrence coefficients must be finite numbers")
         self.field = field
 
     def __len__(self):

@@ -119,7 +119,8 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
     if M.rows != M.cols:
         raise ValueError("only square matrices invert")
     n = M.rows
-    a = [list(M.row(i)) + list(DenseMatrix.identity(n, M.field).row(i)) for i in range(n)]
+    eye = DenseMatrix.identity(n, M.field)
+    a = [list(M.row(i)) + list(eye.row(i)) for i in range(n)]
     exact = M.field is Field.RATIONAL
     for col in range(n):
         if exact:

@@ -261,6 +261,11 @@ def test_usage_errors_exit_2(capsys, argv):
     # the node products underflow to zero, or overflow, in double precision
     ["experiment", "--which", "lagrange-error", "--n", "1100"],
     ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "0,1e200,-1e200"],
+    # non-finite recurrence coefficients, like non-finite nodes
+    ["matrix", "--basis", "recurrence", "--field", "real", "--alpha", "1,nan", "--beta", "0,0"],
+    ["matrix", "--basis", "recurrence", "--field", "real", "--alpha", "1,1", "--beta", "0,inf"],
+    ["matrix", "--basis", "recurrence", "--field", "real", "--alpha", "1,1", "--gamma", "0,-inf"],
+    ["matrix", "--basis", "recurrence", "--field", "complex", "--alpha", "1,nan+1i"],
 ])
 def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, argv)

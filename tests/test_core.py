@@ -1,5 +1,6 @@
 """Field promotion rules, dense matrices, vectors, and node sets."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,9 @@ from polydiff.core import (
     vec_inf_norm,
     zero_of,
 )
+from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.degree_graded import monomial_recurrence
+from polydiff.structure import nilpotency_index
 
 
 # ---------------------------------------------------------------- fields
@@ -111,6 +114,76 @@ def test_matrix_product_promotes_field():
     A = DenseMatrix.from_rows([[Fraction(1, 3)]])
     B = DenseMatrix.from_rows([[0.5]])
     assert (A * B).field is Field.REAL
+
+
+def _fraction_triple_loop(A, B):
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = Fraction(0)
+            for t in range(A.cols):
+                acc += A[i, t] * B[t, j]
+            out.append(acc)
+    return out
+
+
+def test_rational_product_matches_fraction_triple_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+    def matrix(rows, cols):
+        return st.lists(scalars, min_size=rows * cols, max_size=rows * cols).map(
+            lambda e: DenseMatrix(rows, cols, e))
+
+    # every dimension may be 0: 0 x k, k x 0, and an empty inner dimension
+    shapes = st.tuples(*[st.integers(0, 5)] * 3)
+    operands = shapes.flatmap(lambda s: st.tuples(
+        matrix(s[0], s[1]), matrix(s[1], s[2]),
+        st.lists(scalars, min_size=s[1], max_size=s[1])))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(operands)
+    def check(ops):
+        A, B, v = ops
+        C = A * B
+        assert (C.rows, C.cols, C.field) == (A.rows, B.cols, Field.RATIONAL)
+        assert list(C.entries) == _fraction_triple_loop(A, B)
+        assert all(type(e) is Fraction for e in C.entries)
+        b = mat_apply(A, v)
+        assert list(b) == _fraction_triple_loop(A, DenseMatrix(len(v), 1, v))
+        assert all(type(e) is Fraction for e in b)
+
+    check()
+
+
+def test_floating_products_sum_left_to_right():
+    rng = random.Random(11)
+
+    def real():
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+
+    def rational():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    cases = [(real, real), (lambda: complex(real(), real()), lambda: complex(real(), real())),
+             (rational, real), (real, rational)]
+    for left, right in cases:
+        for n, k, m in ((4, 7, 3), (1, 9, 1), (3, 0, 2), (0, 3, 2)):
+            A = DenseMatrix(n, k, [left() for _ in range(n * k)])
+            B = DenseMatrix(k, m, [right() for _ in range(k * m)])
+            C = A * B
+            zero = zero_of(C.field)
+            want = [sum((a * b for a, b in zip(A.row(i), B.column(j))), zero)
+                    for i in range(n) for j in range(m)]
+            assert [repr(e) for e in C.entries] == [repr(e) for e in want]
+            v = [right() for _ in range(k)]
+            want = [sum((a * b for a, b in zip(A.row(i), v)), zero) for i in range(n)]
+            assert [repr(e) for e in mat_apply(A, v)] == [repr(e) for e in want]
+
+
+def test_bernstein_thirty_nilpotency_index():
+    assert nilpotency_index(diff_matrix_bernstein(30)) == 31
 
 
 def test_matrix_equality_and_hash():

@@ -175,6 +175,13 @@ def test_recurrence_spec_validation():
         RecurrenceSpec([1, 1], beta=[0])
     rec = RecurrenceSpec([1, 0.5])
     assert rec.field is Field.REAL and len(rec) == 2
+    for bad in (float("nan"), float("inf"), -float("inf"),
+                complex(float("nan"), 0), complex(1, float("inf"))):
+        for alpha, beta, gamma in (([1, bad], None, None),
+                                   ([1, 1], [0, bad], None),
+                                   ([1, 1], None, [0, bad])):
+            with pytest.raises(ValueError, match="finite"):
+                RecurrenceSpec(alpha, beta, gamma)
 
 
 def test_multiply_by_x_against_expanded_polynomials():
