@@ -27,18 +27,15 @@ from .core import (
     mat_inf_norm,
     mat_power,
     promote_matrix,
-    promote_vector,
     vec_inf_norm,
 )
 from .degree_graded import (
-    DividedDifferenceTable,
     RecurrenceSpec,
     chebyshev_antideriv_matrix,
     chebyshev_basis,
     chebyshev_diff_matrix,
     chebyshev_recurrence,
     diff_matrix_degree_graded,
-    divided_differences,
     legendre_antideriv_matrix,
     legendre_basis,
     legendre_recurrence,
@@ -64,7 +61,6 @@ from .hermite import (
     node_polynomial_value,
 )
 from .bernstein import (
-    bernstein_eval,
     bernstein_norm_table,
     diff_matrix_bernstein,
     monomial_in_bernstein,

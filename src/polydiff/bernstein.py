@@ -1,4 +1,4 @@
-"""Bernstein basis on [0, 1]: differentiation matrix, evaluation, norms.
+"""Bernstein basis on [0, 1]: differentiation matrix, monomial images, norms.
 
 The degree-n Bernstein differentiation matrix is tridiagonal: row i
 holds -i, 2i - n, n - i on columns i-1, i, i+1.  Its infinity norm is
@@ -27,17 +27,6 @@ def diff_matrix_bernstein(n: int) -> DenseMatrix:
         if i + 1 <= n:
             rows[i][i + 1] = Fraction(n - i)
     return DenseMatrix.from_rows(rows, Field.RATIONAL)
-
-
-def bernstein_eval(coeffs, x):
-    """de Casteljau evaluation of sum c_i B_i^n at x."""
-    work = list(coeffs)
-    if not work:
-        raise ValueError("need at least one coefficient")
-    one = x * 0 + 1
-    while len(work) > 1:
-        work = [(one - x) * a + x * b for a, b in zip(work, work[1:])]
-    return work[0]
 
 
 def monomial_in_bernstein(n: int, k: int) -> tuple:

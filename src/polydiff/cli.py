@@ -22,21 +22,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bernstein, degree_graded, experiments, hermite, lagrange, structure, verify
-from .core import (
-    BernsteinBasis,
-    DegreeGradedBasis,
-    DenseMatrix,
-    Field,
-    HermiteBasis,
-    LagrangeBasis,
-    NodeSet,
-    promote_matrix,
-)
-
-_MATRIX_BASES = ("monomial", "chebyshev", "legendre", "newton",
-                 "lagrange", "hermite", "bernstein", "recurrence")
-_DEGREE_BASES = ("monomial", "chebyshev", "legendre", "bernstein", "recurrence")
+from . import experiments, hermite, structure, verify
+from .core import DenseMatrix, Field, NodeSet, promote_matrix
+from .degree_graded import RecurrenceSpec
+from .families import FAMILIES
 
 
 class UsageError(Exception):
@@ -161,10 +150,26 @@ def _generic_pinv(D: DenseMatrix, basis_obj) -> DenseMatrix:
     return structure.pseudo_inverse(D, V)
 
 
+def _instance_arg(args, family, field: Field):
+    """What names the requested instance, in the shape ``family.arg`` says."""
+    if family.arg == "degree":
+        return args.degree
+    if family.arg == "nodes":
+        return _parse_node_set(args, field)
+    if args.alpha is None:
+        raise UsageError("--basis recurrence requires --alpha")
+    alpha = parse_scalar_list(args.alpha, field)
+    beta = parse_scalar_list(args.beta, field) if args.beta is not None else None
+    gamma = parse_scalar_list(args.gamma, field) if args.gamma is not None else None
+    rec = RecurrenceSpec(alpha, beta, gamma)
+    return rec, args.degree if args.degree is not None else len(alpha)
+
+
 def cmd_matrix(args) -> int:
     basis = args.basis
+    family = FAMILIES[basis]
     field = Field(args.field)
-    if basis in _DEGREE_BASES:
+    if family.arg != "nodes":
         if args.nodes is not None:
             raise UsageError(f"--nodes does not apply to --basis {basis}")
         if args.confluency is not None:
@@ -175,54 +180,19 @@ def cmd_matrix(args) -> int:
                              "the node list fixes the dimension")
         if args.nodes is None:
             raise UsageError(f"--basis {basis} requires --nodes")
-    if basis != "recurrence" and (args.alpha or args.beta or args.gamma):
+    if family.arg != "recurrence" and (args.alpha or args.beta or args.gamma):
         raise UsageError("--alpha/--beta/--gamma apply to --basis recurrence only")
-    if basis in _DEGREE_BASES and basis != "recurrence" and args.degree is None:
+    if family.arg == "degree" and args.degree is None:
         raise UsageError(f"--basis {basis} requires --degree")
 
-    if basis == "monomial":
-        n = args.degree
-        D = degree_graded.diff_matrix_degree_graded(degree_graded.monomial_recurrence(n), n)
-        M = _generic_pinv(D, degree_graded.monomial_basis(n)) if args.pinv else D
-        M = promote_matrix(M, field)
-    elif basis == "chebyshev":
-        n = args.degree
-        M = (degree_graded.chebyshev_antideriv_matrix(n) if args.pinv
-             else degree_graded.chebyshev_diff_matrix(n))
-        M = promote_matrix(M, field)
-    elif basis == "legendre":
-        n = args.degree
-        M = (degree_graded.legendre_antideriv_matrix(n) if args.pinv
-             else degree_graded.diff_matrix_degree_graded(degree_graded.legendre_recurrence(n), n))
-        M = promote_matrix(M, field)
-    elif basis == "bernstein":
-        n = args.degree
-        D = bernstein.diff_matrix_bernstein(n)
-        M = _generic_pinv(D, BernsteinBasis(n)) if args.pinv else D
-        M = promote_matrix(M, field)
-    elif basis == "recurrence":
-        if args.alpha is None:
-            raise UsageError("--basis recurrence requires --alpha")
-        alpha = parse_scalar_list(args.alpha, field)
-        beta = parse_scalar_list(args.beta, field) if args.beta is not None else None
-        gamma = parse_scalar_list(args.gamma, field) if args.gamma is not None else None
-        rec = degree_graded.RecurrenceSpec(alpha, beta, gamma)
-        n = args.degree if args.degree is not None else len(alpha)
-        D = degree_graded.diff_matrix_degree_graded(rec, n)
-        M = _generic_pinv(D, DegreeGradedBasis(rec, n, name="recurrence")) if args.pinv else D
-    elif basis == "newton":
-        ns = _parse_node_set(args, field)
-        D = degree_graded.newton_diff_matrix(ns)
-        M = _generic_pinv(D, degree_graded.newton_basis(ns)) if args.pinv else D
-    elif basis == "lagrange":
-        ns = _parse_node_set(args, field)
-        D = lagrange.diff_matrix_lagrange(ns)
-        M = _generic_pinv(D, LagrangeBasis(ns)) if args.pinv else D
-    else:  # hermite
-        ns = _parse_node_set(args, field)
-        D = hermite.diff_matrix_hermite(ns)
-        M = _generic_pinv(D, HermiteBasis(ns)) if args.pinv else D
-
+    arg = _instance_arg(args, family, field)
+    if args.pinv and family.antideriv:
+        M = family.antideriv(arg)
+    else:
+        M = family.diff_matrix(arg)
+        if args.pinv:
+            M = _generic_pinv(M, family.basis(arg))
+    M = promote_matrix(M, field)
     text = matrix_to_json(M, basis) if args.fmt == "json" else matrix_to_csv(M)
     _emit(text, args.out)
     return 0
@@ -287,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("matrix", help="emit a differentiation matrix")
-    m.add_argument("--basis", required=True, choices=_MATRIX_BASES)
+    m.add_argument("--basis", required=True, choices=tuple(FAMILIES))
     m.add_argument("--degree", type=int,
                    help="polynomial degree (dimension - 1) for degree-indexed bases")
     m.add_argument("--nodes",

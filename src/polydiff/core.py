@@ -470,10 +470,6 @@ def promote_matrix(M: DenseMatrix, field: Field) -> DenseMatrix:
     return DenseMatrix(M.rows, M.cols, M.entries, field)
 
 
-def promote_vector(v: CoeffVector, field: Field) -> CoeffVector:
-    return CoeffVector(v.coeffs, basis=v.basis, field=field)
-
-
 def approx_equal(a, b, tol: float = 1e-10) -> bool:
     """Elementwise |a - b| <= tol * max(1, largest magnitude on either side)."""
     if isinstance(a, DenseMatrix) and isinstance(b, DenseMatrix):

@@ -18,7 +18,6 @@ import cmath
 from fractions import Fraction
 
 from .core import (
-    CoeffVector,
     DegreeGradedBasis,
     DenseMatrix,
     Field,
@@ -236,51 +235,3 @@ def newton_diff_matrix(nodes) -> DenseMatrix:
     n = len(zs) - 1
     return diff_matrix_degree_graded(newton_recurrence(zs[:n]), n)
 
-
-class DividedDifferenceTable:
-    """Triangular table of (confluent) divided differences.
-
-    ``levels[j][i]`` holds the order-j difference on positions i .. i+j
-    of the flattened node list.  Repeated nodes take the scaled
-    derivative directly instead of dividing by a zero spread.
-    """
-
-    __slots__ = ("nodes", "data", "levels")
-
-    def __init__(self, nodes: NodeSet, data):
-        nodes = as_node_set(nodes)
-        data = tuple(data)
-        dim = nodes.dimension
-        if len(data) != dim:
-            raise ValueError(f"expected {dim} data entries, got {len(data)}")
-        flat = nodes.flat_nodes()
-        owner = [i for i, s in enumerate(nodes.confluencies) for _ in range(s)]
-        levels = [[data[nodes.slot(owner[t], 0)] for t in range(dim)]]
-        for j in range(1, dim):
-            prev = levels[j - 1]
-            level = []
-            for i in range(dim - j):
-                if flat[i + j] == flat[i]:
-                    # whole block at one node: order-j scaled derivative
-                    level.append(data[nodes.slot(owner[i], j)])
-                else:
-                    level.append((prev[i + 1] - prev[i]) / (flat[i + j] - flat[i]))
-            levels.append(level)
-        self.nodes = nodes
-        self.data = data
-        self.levels = levels
-
-    def newton_coefficients(self) -> tuple:
-        return tuple(self.levels[j][0] for j in range(len(self.levels)))
-
-
-def divided_differences(nodes, data) -> CoeffVector:
-    """Newton coefficients of the interpolant of the given data.
-
-    Data uses the node-major scaled-derivative layout: for node i of
-    confluency s_i the entries are p(t_i), p'(t_i)/1!, ...,
-    p^(s_i - 1)(t_i)/(s_i - 1)!.
-    """
-    nodes = as_node_set(nodes)
-    table = DividedDifferenceTable(nodes, data)
-    return CoeffVector(table.newton_coefficients(), basis=newton_basis(nodes))

@@ -16,7 +16,6 @@ basis-change matrix M whose columns are the monomial images x^k.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import (
     BernsteinBasis,
@@ -43,11 +42,6 @@ class MonomialImages:
     def __init__(self, basis, columns):
         self.basis = basis
         self.columns = tuple(CoeffVector(c, basis=basis) for c in columns)
-
-    @property
-    def ones(self) -> CoeffVector:
-        """Expansion of the constant 1."""
-        return self.columns[0]
 
     def __len__(self):
         return len(self.columns)

@@ -26,13 +26,12 @@ from .core import (
     HermiteBasis,
     LagrangeBasis,
     NodeSet,
-    approx_equal,
     mat_apply,
-    mat_inf_norm,
-    mat_power,
 )
+from .families import FAMILIES
 
 _SEED = 20250825
+KNOWN_BASES = tuple(name for name in FAMILIES if name != "recurrence")
 
 
 @dataclass
@@ -332,32 +331,25 @@ def check_bernstein_oracle():
     return True, "degrees 1, 4, 7, 11"
 
 
-def _basis_instances(rng):
-    yield "monomial", degree_graded.monomial_basis(rng.randint(1, 7))
-    yield "chebyshev", degree_graded.chebyshev_basis(rng.randint(1, 7))
-    yield "legendre", degree_graded.legendre_basis(rng.randint(1, 7))
-    yield "newton", degree_graded.newton_basis(NodeSet(_random_rationals(rng, rng.randint(2, 6))))
-    yield "lagrange", LagrangeBasis(NodeSet(_random_rationals(rng, rng.randint(2, 6))))
-    yield "hermite", HermiteBasis(_random_hermite_nodes(rng, max_dim=8))
-    yield "bernstein", BernsteinBasis(rng.randint(1, 7))
-
-
-def _diff_matrix_for(name, basis):
-    if name in ("monomial", "chebyshev", "legendre"):
-        return degree_graded.diff_matrix_degree_graded(basis.recurrence, basis.degree)
-    if name == "newton":
-        return degree_graded.diff_matrix_degree_graded(basis.recurrence, basis.degree)
-    if name == "lagrange":
-        return lagrange.diff_matrix_lagrange(basis.nodes)
+def _random_arg(rng, name, family):
+    if family.arg == "degree":
+        return rng.randint(1, 7)
     if name == "hermite":
-        return hermite.diff_matrix_hermite(basis.nodes)
-    return bernstein.diff_matrix_bernstein(basis.degree)
+        return _random_hermite_nodes(rng, max_dim=8)
+    return NodeSet(_random_rationals(rng, rng.randint(2, 6)))
+
+
+def _basis_instances(rng):
+    """(name, descriptor, differentiation matrix) for one instance per family."""
+    for name in KNOWN_BASES:
+        family = FAMILIES[name]
+        arg = _random_arg(rng, name, family)
+        yield name, family.basis(arg), family.diff_matrix(arg)
 
 
 def check_monomial_image_shifting():
     rng = random.Random(_SEED + 10)
-    for name, basis in _basis_instances(rng):
-        D = _diff_matrix_for(name, basis)
+    for name, basis, D in _basis_instances(rng):
         images = structure.monomial_images(basis)
         for k in range(basis.dimension):
             got = list(mat_apply(D, images.columns[k]))
@@ -369,8 +361,7 @@ def check_monomial_image_shifting():
 
 def check_jordan_similarity():
     rng = random.Random(_SEED + 11)
-    for name, basis in _basis_instances(rng):
-        D = _diff_matrix_for(name, basis)
+    for name, basis, D in _basis_instances(rng):
         V = structure.build_V(structure.monomial_images(basis))
         if not structure.jordan_check(D, V):
             return False, f"D V != V J in {name}"
@@ -379,8 +370,7 @@ def check_jordan_similarity():
 
 def check_generalized_inverse():
     rng = random.Random(_SEED + 12)
-    for name, basis in _basis_instances(rng):
-        D = _diff_matrix_for(name, basis)
+    for name, basis, D in _basis_instances(rng):
         V = structure.build_V(structure.monomial_images(basis))
         Dp = structure.pseudo_inverse(D, V)
         if not structure.verify_generalized_inverse(D, Dp):
@@ -416,9 +406,6 @@ _CHECKS = [
     ("jordan-similarity", "all", check_jordan_similarity),
     ("generalized-inverse-conditions", "all", check_generalized_inverse),
 ]
-
-KNOWN_BASES = ("monomial", "chebyshev", "legendre", "newton",
-               "lagrange", "hermite", "bernstein")
 
 
 def run_checks(basis: str | None = None) -> list[CheckResult]:

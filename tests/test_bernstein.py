@@ -1,4 +1,4 @@
-"""Bernstein basis: tridiagonal matrix, norms, and de Casteljau evaluation."""
+"""Bernstein basis: tridiagonal matrix, monomial images, and norms."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from polydiff.bernstein import (
-    bernstein_eval,
     bernstein_norm_table,
     diff_matrix_bernstein,
     monomial_in_bernstein,
@@ -67,22 +66,6 @@ def test_power_past_dimension_vanishes():
         D = diff_matrix_bernstein(n)
         assert mat_power(D, n + 1) == DenseMatrix.zeros(n + 1, n + 1)
         assert nilpotency_index(D) == n + 1
-
-
-def test_de_casteljau_matches_expanded_polynomial():
-    n = 5
-    polys = orc.bernstein_polys(n)
-    coeffs = [Fraction(2), Fraction(-1), Fraction(0), Fraction(4), Fraction(1), Fraction(-3)]
-    p = [Fraction(0)]
-    for c, b in zip(coeffs, polys):
-        p = orc.poly_add(p, orc.poly_scale(b, c))
-    for x in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(7, 5)):
-        assert bernstein_eval(coeffs, x) == orc.poly_eval(p, x)
-
-
-def test_eval_rejects_empty():
-    with pytest.raises(ValueError):
-        bernstein_eval([], 0.5)
 
 
 def test_monomial_in_bernstein_entries():

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polydiff.bernstein
+import polydiff.degree_graded
+import polydiff.hermite
+from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.cli import (
     UsageError,
     _absorb_negative_values,
@@ -17,7 +20,36 @@ from polydiff.cli import (
     parse_int_list,
     parse_scalar,
 )
-from polydiff.core import DenseMatrix, Field
+from polydiff.core import (
+    BernsteinBasis,
+    DegreeGradedBasis,
+    DenseMatrix,
+    Field,
+    HermiteBasis,
+    LagrangeBasis,
+    NodeSet,
+)
+from polydiff.degree_graded import (
+    RecurrenceSpec,
+    chebyshev_antideriv_matrix,
+    chebyshev_diff_matrix,
+    diff_matrix_degree_graded,
+    legendre_antideriv_matrix,
+    legendre_recurrence,
+    monomial_basis,
+    monomial_recurrence,
+    newton_basis,
+    newton_diff_matrix,
+)
+from polydiff.families import FAMILIES
+from polydiff.hermite import diff_matrix_hermite
+from polydiff.lagrange import diff_matrix_lagrange
+from polydiff.structure import (
+    build_V,
+    monomial_images,
+    pseudo_inverse,
+    verify_generalized_inverse,
+)
 
 
 # ---------------------------------------------------------------- scalars
@@ -233,6 +265,102 @@ def test_matrix_pinv_floating_warns(capsys):
     assert "floating point" in err
 
 
+def test_matrix_one_center_newton_reports_requested_field(capsys):
+    # one center leaves the recurrence empty, so only the requested field
+    # can say what the 1x1 zero matrix is made of
+    code, out, _ = run_cli(capsys, [
+        "matrix", "--basis", "newton", "--nodes", "3", "--field", "real", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "basis": "newton", "dimension": 1, "field": "real", "entries": [["0.0"]]}
+
+
+# ---------------------------------------------------------------- every family
+
+def _structured_pinv(D, basis):
+    return pseudo_inverse(D, build_V(monomial_images(basis)))
+
+
+_NODES = NodeSet([Fraction(-1), Fraction(1, 2), Fraction(2)])
+_CONFLUENT = NodeSet([Fraction(0), Fraction(1)], [2, 1])
+_REC = RecurrenceSpec([1, 2, 3], [1, 0, 1], [0, 1, 1])
+
+# basis -> (instance flags, D built directly, the --pinv companion of D)
+REGISTRY_CASES = {
+    "monomial": (
+        ["--degree", "3"],
+        lambda: diff_matrix_degree_graded(monomial_recurrence(3), 3),
+        lambda D: _structured_pinv(D, monomial_basis(3))),
+    "chebyshev": (
+        ["--degree", "3"],
+        lambda: chebyshev_diff_matrix(3),
+        lambda D: chebyshev_antideriv_matrix(3)),
+    "legendre": (
+        ["--degree", "3"],
+        lambda: diff_matrix_degree_graded(legendre_recurrence(3), 3),
+        lambda D: legendre_antideriv_matrix(3)),
+    "newton": (
+        ["--nodes=-1,1/2,2"],
+        lambda: newton_diff_matrix(_NODES),
+        lambda D: _structured_pinv(D, newton_basis(_NODES))),
+    "lagrange": (
+        ["--nodes=-1,1/2,2"],
+        lambda: diff_matrix_lagrange(_NODES),
+        lambda D: _structured_pinv(D, LagrangeBasis(_NODES))),
+    "hermite": (
+        ["--nodes", "0,1", "--confluency", "2,1"],
+        lambda: diff_matrix_hermite(_CONFLUENT),
+        lambda D: _structured_pinv(D, HermiteBasis(_CONFLUENT))),
+    "bernstein": (
+        ["--degree", "3"],
+        lambda: diff_matrix_bernstein(3),
+        lambda D: _structured_pinv(D, BernsteinBasis(3))),
+    "recurrence": (
+        ["--alpha", "1,2,3", "--beta", "1,0,1", "--gamma", "0,1,1"],
+        lambda: diff_matrix_degree_graded(_REC, 3),
+        lambda D: _structured_pinv(D, DegreeGradedBasis(_REC, 3))),
+}
+
+
+def parse_csv_matrix(text):
+    return DenseMatrix.from_rows(
+        [[Fraction(e) for e in line.split(",")] for line in text.splitlines()])
+
+
+def test_registry_cases_cover_every_basis():
+    assert tuple(REGISTRY_CASES) == tuple(FAMILIES)
+
+
+@pytest.mark.parametrize("basis", REGISTRY_CASES)
+def test_matrix_every_basis(capsys, basis):
+    flags, construct, _ = REGISTRY_CASES[basis]
+    code, out, err = run_cli(capsys, ["matrix", "--basis", basis, *flags])
+    assert code == 0 and err == ""
+    assert parse_csv_matrix(out) == construct()
+
+
+@pytest.mark.parametrize("basis", REGISTRY_CASES)
+def test_matrix_pinv_every_basis(capsys, basis):
+    flags, construct, companion = REGISTRY_CASES[basis]
+    code, out, err = run_cli(capsys, ["matrix", "--basis", basis, *flags, "--pinv"])
+    assert code == 0 and err == ""
+    D = construct()
+    Dp = parse_csv_matrix(out)
+    assert Dp == companion(D)
+    assert verify_generalized_inverse(D, Dp)
+
+
+def test_matrix_looks_up_constructor_at_call_time(monkeypatch, capsys):
+    argv = ["matrix", "--basis", "chebyshev", "--degree", "2"]
+    _, before, _ = run_cli(capsys, argv)
+    monkeypatch.setattr(polydiff.degree_graded, "chebyshev_diff_matrix",
+                        lambda n: DenseMatrix.identity(n + 1))
+    code, after, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert before == "0,1,0\n0,0,4\n0,0,0\n"
+    assert after == "1,0,0\n0,1,0\n0,0,1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["matrix", "--basis", "monomial", "--degree", "2", "--nodes", "0,1"],
     ["matrix", "--basis", "monomial", "--degree", "2", "--confluency", "1,1"],
@@ -345,6 +473,14 @@ def test_verify_detects_corruption(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, ["verify", "--basis", "bernstein"])
     assert code == 1
     assert "FAIL bernstein-reference-matrix" in out
+
+
+def test_verify_detects_corrupted_hermite_in_family_checks(monkeypatch, capsys):
+    original = polydiff.hermite.diff_matrix_hermite
+    monkeypatch.setattr(polydiff.hermite, "diff_matrix_hermite", lambda ns: original(ns) * 2)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 1
+    assert "FAIL jordan-similarity: D V != V J in hermite" in out
 
 
 # ---------------------------------------------------------------- experiment command

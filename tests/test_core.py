@@ -23,7 +23,6 @@ from polydiff.core import (
     mat_inf_norm,
     mat_power,
     promote_matrix,
-    promote_vector,
     vec_inf_norm,
     zero_of,
 )

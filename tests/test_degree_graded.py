@@ -7,13 +7,11 @@ import pytest
 
 from polydiff.core import DenseMatrix, Field, NodeSet, mat_apply
 from polydiff.degree_graded import (
-    DividedDifferenceTable,
     RecurrenceSpec,
     chebyshev_antideriv_matrix,
     chebyshev_diff_matrix,
     chebyshev_recurrence,
     diff_matrix_degree_graded,
-    divided_differences,
     legendre_antideriv_matrix,
     legendre_recurrence,
     monomial_recurrence,
@@ -248,46 +246,3 @@ def test_strict_upper_triangularity():
             for j in range(i + 1):
                 assert D[i, j] == 0
 
-
-# ---------------------------------------------------------------- divided differences
-
-def test_divided_differences_square():
-    a = divided_differences([0, 1, 2], [0, 1, 4])
-    assert list(a) == [0, 1, 1]
-
-
-def test_divided_differences_constant():
-    a = divided_differences([0, Fraction(1, 3), 5, 7], [Fraction(4, 7)] * 4)
-    assert list(a) == [Fraction(4, 7), 0, 0, 0]
-
-
-def test_divided_differences_confluent_linear():
-    # p = x: value 0 and slope 1 at node 0, value 1 at node 1
-    ns = NodeSet([0, 1], [2, 1])
-    a = divided_differences(ns, [0, 1, 1])
-    assert list(a) == [0, 1, 0]
-
-
-def test_divided_differences_reproduce_data():
-    rng = random.Random(11)
-    ns = NodeSet([Fraction(-1), Fraction(1, 2), Fraction(2)], [2, 3, 1])
-    p = [Fraction(rng.randint(-6, 6)) for _ in range(ns.dimension)]
-    data = [orc.poly_shifted_eval(p, ns.nodes[i], j)
-            for i in range(len(ns)) for j in range(ns.confluencies[i])]
-    a = divided_differences(ns, data)
-    # rebuild the interpolant from Newton factors and compare coefficients
-    q = [Fraction(0)]
-    factor = [Fraction(1)]
-    for k, c in enumerate(a):
-        q = orc.poly_add(q, orc.poly_scale(factor, c))
-        if k < ns.dimension - 1:
-            zk = ns.flat_nodes()[k]
-            factor = orc.poly_mul(factor, [-zk, Fraction(1)])
-    assert orc.poly_trim(q) == orc.poly_trim(list(p))
-
-
-def test_divided_difference_table_shape_and_errors():
-    t = DividedDifferenceTable(NodeSet([0, 1, 3]), [5, 7, 9])
-    assert [len(level) for level in t.levels] == [3, 2, 1]
-    with pytest.raises(ValueError):
-        DividedDifferenceTable(NodeSet([0, 1]), [1, 2, 3])

@@ -90,7 +90,7 @@ def test_monomial_images_reconstruct_powers():
 def test_monomial_images_ones_and_bounds():
     images = monomial_images(BernsteinBasis(3), n=1)
     assert len(images) == 2
-    assert list(images.ones) == [1, 1, 1, 1]
+    assert list(images.columns[0]) == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         monomial_images(BernsteinBasis(3), n=4)
     class UnknownBasis:
