@@ -9,7 +9,6 @@ used for the conditioning experiments exposed through the CLI.
 
 from .core import (
     BernsteinBasis,
-    CoeffVector,
     DegreeGradedBasis,
     DenseMatrix,
     Field,
@@ -66,7 +65,6 @@ from .bernstein import (
     monomial_in_bernstein,
 )
 from .structure import (
-    MonomialImages,
     build_V,
     conjugation_oracle,
     invert_matrix,

@@ -10,12 +10,14 @@ Serialization is text-only and round-trips: exact rationals as "p/q"
 (bare integers without the slash), floats via ``repr``, complex values
 as "a+bi".  Exit codes: 0 success, 1 verification failure, 2 usage
 error (including malformed values, inconsistent flag combinations and
-floating-point breakdown such as weights that underflow to zero).
+floating-point breakdown such as weights that underflow to zero, or a
+floating-point result that would print inf or nan).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -142,12 +144,13 @@ def _parse_node_set(args, field: Field) -> NodeSet:
     return NodeSet(nodes, conf)
 
 
-def _generic_pinv(D: DenseMatrix, basis_obj) -> DenseMatrix:
-    if D.field is not Field.RATIONAL:
-        print("polydiff: warning: pseudo-inverse computed in floating point; "
-              "entries may lose accuracy", file=sys.stderr)
-    V = structure.build_V(structure.monomial_images(basis_obj))
-    return structure.pseudo_inverse(D, V)
+def _require_finite(field: Field, values) -> None:
+    """Reject floating-point output holding nan or inf; rationals always pass."""
+    # a finite sum has only finite terms, so the entrywise pass runs only
+    # when the sum is not finite: a non-finite entry or an overflowing sum
+    if field is not Field.RATIONAL and not cmath.isfinite(sum(values)) \
+            and not all(map(cmath.isfinite, values)):
+        raise ArithmeticError("the floating-point result is not finite")
 
 
 def _instance_arg(args, family, field: Field):
@@ -191,8 +194,15 @@ def cmd_matrix(args) -> int:
     else:
         M = family.diff_matrix(arg)
         if args.pinv:
-            M = _generic_pinv(M, family.basis(arg))
+            V = structure.build_V(structure.monomial_images(family.basis(arg)))
+            M = structure.pseudo_inverse(M, V)
+    # read before promotion: exact companions promoted to floats do not warn
+    inexact_pinv = args.pinv and M.field is not Field.RATIONAL
     M = promote_matrix(M, field)
+    _require_finite(M.field, M.entries)
+    if inexact_pinv:
+        print("polydiff: warning: pseudo-inverse computed in floating point; "
+              "entries may lose accuracy", file=sys.stderr)
     text = matrix_to_json(M, basis) if args.fmt == "json" else matrix_to_csv(M)
     _emit(text, args.out)
     return 0
@@ -205,6 +215,7 @@ def cmd_weights(args) -> int:
     ns = _parse_node_set(args, field)
     w = hermite.gen_bary_weights(ns)
     rows = [(i, j, b) for i, wi in enumerate(w.weights) for j, b in enumerate(wi)]
+    _require_finite(ns.field, [b for _, _, b in rows])
     if args.fmt == "json":
         obj = {
             "nodes": [format_scalar(t) for t in ns.nodes],

@@ -1,4 +1,4 @@
-"""Scalar fields, dense matrices, coefficient vectors, and basis descriptors.
+"""Scalar fields, dense matrices, and basis descriptors.
 
 Every matrix and vector is homogeneous in one scalar field: exact
 rationals (``fractions.Fraction``), 64-bit floats, or complex doubles.
@@ -164,21 +164,6 @@ class DenseMatrix:
         out = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
         return DenseMatrix(self.cols, self.rows, out, self.field)
 
-    def __neg__(self) -> "DenseMatrix":
-        return DenseMatrix(self.rows, self.cols, [-e for e in self.entries], self.field)
-
-    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        field = join_fields(self.field, other.field)
-        return DenseMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)], field)
-
-    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
             if self.cols != other.rows:
@@ -212,48 +197,6 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols}, {self.field.value})"
-
-
-class CoeffVector:
-    """Coefficient vector, optionally tied to a basis descriptor."""
-
-    __slots__ = ("basis", "coeffs", "field")
-
-    def __init__(self, coeffs, basis=None, field: Field | None = None):
-        coeffs = tuple(coeffs)
-        if field is None:
-            field = join_fields(Field.RATIONAL, *(field_of(c) for c in coeffs))
-        if basis is not None and basis.dimension != len(coeffs):
-            raise ValueError(
-                f"basis dimension {basis.dimension} does not match length {len(coeffs)}")
-        self.basis = basis
-        self.coeffs = tuple(coerce_scalar(c, field) for c in coeffs)
-        self.field = field
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        if isinstance(other, CoeffVector):
-            other = other.coeffs
-        try:
-            other = tuple(other)
-        except TypeError:
-            return NotImplemented
-        return len(self.coeffs) == len(other) and all(
-            a == b for a, b in zip(self.coeffs, other))
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"CoeffVector({list(self.coeffs)!r})"
 
 
 class NodeSet:
@@ -351,38 +294,13 @@ class DegreeGradedBasis:
         return f"DegreeGradedBasis({self.name}, degree={self.degree})"
 
 
-class LagrangeBasis:
-    """Cardinal-function basis on simple (confluency-1) nodes."""
-
-    __slots__ = ("nodes", "name")
-
-    def __init__(self, nodes):
-        nodes = as_node_set(nodes)
-        if not nodes.is_simple:
-            raise ValueError("Lagrange basis requires confluency 1 everywhere")
-        self.nodes = nodes
-        self.name = "lagrange"
-
-    @property
-    def dimension(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def field(self) -> Field:
-        return self.nodes.field
-
-    def __repr__(self):
-        return f"LagrangeBasis({list(self.nodes.nodes)!r})"
-
-
 class HermiteBasis:
     """Cardinal basis matching values and scaled derivatives at confluent nodes."""
 
-    __slots__ = ("nodes", "name")
+    __slots__ = ("nodes",)
 
     def __init__(self, nodes):
         self.nodes = as_node_set(nodes)
-        self.name = "hermite"
 
     @property
     def dimension(self) -> int:
@@ -393,19 +311,29 @@ class HermiteBasis:
         return self.nodes.field
 
     def __repr__(self):
-        return f"HermiteBasis({self.nodes!r})"
+        return f"{type(self).__name__}({self.nodes!r})"
+
+
+class LagrangeBasis(HermiteBasis):
+    """Cardinal-function basis on simple nodes: the confluency-1 Hermite basis."""
+
+    __slots__ = ()
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        if not self.nodes.is_simple:
+            raise ValueError("Lagrange basis requires confluency 1 everywhere")
 
 
 class BernsteinBasis:
     """Bernstein basis of a fixed degree on [0, 1]."""
 
-    __slots__ = ("degree", "name")
+    __slots__ = ("degree",)
 
     def __init__(self, degree: int):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
-        self.name = "bernstein"
 
     @property
     def dimension(self) -> int:
@@ -419,14 +347,12 @@ class BernsteinBasis:
         return f"BernsteinBasis(degree={self.degree})"
 
 
-def mat_apply(M: DenseMatrix, v) -> CoeffVector:
-    """Apply a matrix to a coefficient vector, b = M a.
+def mat_apply(M: DenseMatrix, v) -> tuple:
+    """Apply a matrix to a coefficient vector, b = M a, as a tuple.
 
-    The result lives in the same basis as the input vector; fields are
-    joined by promotion (a rational matrix applied to a float vector
-    gives a float vector, never the other way around).
+    Fields are joined by promotion (a rational matrix applied to a float
+    vector gives floats, never the other way around).
     """
-    basis = v.basis if isinstance(v, CoeffVector) else None
     coeffs = tuple(v)
     if M.cols != len(coeffs):
         raise ValueError(f"matrix has {M.cols} columns, vector has {len(coeffs)} entries")
@@ -436,7 +362,7 @@ def mat_apply(M: DenseMatrix, v) -> CoeffVector:
     else:
         zero = zero_of(field)
         out = [sum(map(mul, M.row(i), coeffs), zero) for i in range(M.rows)]
-    return CoeffVector(out, basis=basis if M.rows == len(coeffs) else None, field=field)
+    return tuple(out)
 
 
 def mat_inf_norm(M: DenseMatrix):

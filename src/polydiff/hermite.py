@@ -36,12 +36,11 @@ from itertools import accumulate, chain, repeat
 from operator import mul
 
 from .core import (
-    CoeffVector,
     DenseMatrix,
     Field,
-    HermiteBasis,
     NodeSet,
     as_node_set,
+    coerce_scalar,
     field_of,
     join_fields,
     one_of,
@@ -155,20 +154,20 @@ def hermite_eval(w: GenBaryWeights, data, z):
     return _node_product(diffs, nodes.confluencies) * total
 
 
-def constant_data(nodes, value=1) -> CoeffVector:
+def constant_data(nodes, value=1) -> tuple:
     """Layout vector of the constant polynomial: value at each node, zero derivatives.
 
     The entries share the nodes' field (or the value's, if larger), so
     floating nodes get floating data even at confluency 1.
     """
     nodes = as_node_set(nodes)
-    zero = zero_of(nodes.field)
+    field = join_fields(nodes.field, field_of(value))
+    value, zero = coerce_scalar(value, field), zero_of(field)
     out = []
     for s in nodes.confluencies:
         out.append(value)
         out.extend([zero] * (s - 1))
-    return CoeffVector(out, basis=HermiteBasis(nodes),
-                       field=join_fields(nodes.field, field_of(value)))
+    return tuple(out)
 
 
 def diff_matrix_hermite(nodes) -> DenseMatrix:

@@ -19,12 +19,10 @@ import math
 
 from .core import (
     BernsteinBasis,
-    CoeffVector,
     DegreeGradedBasis,
     DenseMatrix,
     Field,
     HermiteBasis,
-    LagrangeBasis,
     SingularMatrixError,
     approx_equal,
     one_of,
@@ -34,42 +32,21 @@ from .bernstein import monomial_in_bernstein
 from .degree_graded import multiply_by_x
 
 
-class MonomialImages:
-    """Expansions of 1, x, ..., x^n in a basis, one coefficient column each."""
-
-    __slots__ = ("basis", "columns")
-
-    def __init__(self, basis, columns):
-        self.basis = basis
-        self.columns = tuple(CoeffVector(c, basis=basis) for c in columns)
-
-    def __len__(self):
-        return len(self.columns)
-
-
-def monomial_images(basis, n: int | None = None) -> MonomialImages:
-    """Expand x^0 .. x^n in the given basis (default: up to dimension - 1)."""
+def monomial_images(basis) -> DenseMatrix:
+    """Matrix M whose column k holds the coefficients of x^k in the basis."""
     dim = basis.dimension
-    if n is None:
-        n = dim - 1
-    if not (0 <= n <= dim - 1):
-        raise ValueError(f"need 0 <= n < dimension {dim}")
     cols = []
     if isinstance(basis, DegreeGradedBasis):
         rec = basis.recurrence
         zero = zero_of(basis.field)
         col = [one_of(basis.field)]
         cols.append(tuple(col) + (zero,) * (dim - 1))
-        for _ in range(n):
+        for _ in range(dim - 1):
             col = multiply_by_x(rec, col)
             cols.append(tuple(col) + (zero,) * (dim - len(col)))
-    elif isinstance(basis, LagrangeBasis):
-        ts = basis.nodes.nodes
-        for k in range(n + 1):
-            cols.append(tuple(t ** k for t in ts))
-    elif isinstance(basis, HermiteBasis):
+    elif isinstance(basis, HermiteBasis):   # LagrangeBasis too: confluency 1
         nodes = basis.nodes
-        for k in range(n + 1):
+        for k in range(dim):
             col = []
             for t, s in zip(nodes.nodes, nodes.confluencies):
                 for j in range(s):
@@ -77,24 +54,20 @@ def monomial_images(basis, n: int | None = None) -> MonomialImages:
                                else zero_of(basis.field))
             cols.append(tuple(col))
     elif isinstance(basis, BernsteinBasis):
-        for k in range(n + 1):
+        for k in range(dim):
             cols.append(monomial_in_bernstein(basis.degree, k))
     else:
         raise TypeError(f"unsupported basis: {basis!r}")
-    return MonomialImages(basis, cols)
+    return DenseMatrix(dim, dim, [c for row in zip(*cols) for c in row])
 
 
-def build_V(images: MonomialImages) -> DenseMatrix:
-    """Similarity matrix with column k holding the coefficients of x^k / k!."""
-    dim = images.basis.dimension
-    if len(images) != dim:
-        raise ValueError("need monomial images up to the basis dimension")
-    cols = []
-    for k, col in enumerate(images.columns):
-        fact = math.factorial(k)
-        cols.append([c / fact for c in col])
-    entries = [cols[k][r] for r in range(dim) for k in range(dim)]
-    return DenseMatrix(dim, dim, entries)
+def build_V(M: DenseMatrix) -> DenseMatrix:
+    """Similarity matrix: column k of the monomial images M divided by k!."""
+    if M.rows != M.cols:
+        raise ValueError("need a square matrix of monomial images")
+    facts = [math.factorial(k) for k in range(M.cols)]
+    return DenseMatrix(M.rows, M.cols,
+                       [c / f for r in range(M.rows) for c, f in zip(M.row(r), facts)])
 
 
 def jordan_block(dim: int, field: Field = Field.RATIONAL) -> DenseMatrix:
@@ -192,11 +165,8 @@ def conjugation_oracle(basis) -> DenseMatrix:
     Intended as a cross-check at small dimensions; the inversion makes
     it far more expensive than the direct constructors.
     """
-    dim = basis.dimension
-    images = monomial_images(basis)
-    M = DenseMatrix(dim, dim,
-                    [images.columns[k][r] for r in range(dim) for k in range(dim)])
-    field = M.field
+    M = monomial_images(basis)
+    dim, field = M.rows, M.field
     zero, one = zero_of(field), one_of(field)
     d_mono = DenseMatrix(dim, dim, [(j * one if j == i + 1 else zero)
                                     for i in range(dim) for j in range(dim)], field)

@@ -350,10 +350,10 @@ def _basis_instances(rng):
 def check_monomial_image_shifting():
     rng = random.Random(_SEED + 10)
     for name, basis, D in _basis_instances(rng):
-        images = structure.monomial_images(basis)
+        M = structure.monomial_images(basis)
         for k in range(basis.dimension):
-            got = list(mat_apply(D, images.columns[k]))
-            want = [k * c for c in images.columns[k - 1]] if k else [Fraction(0)] * basis.dimension
+            got = list(mat_apply(D, M.column(k)))
+            want = [k * c for c in M.column(k - 1)] if k else [Fraction(0)] * basis.dimension
             if got != want:
                 return False, f"D x^{k} != {k} x^{k - 1} in {name}"
     return True, "D maps x^k to k x^(k-1) in every family"

@@ -394,6 +394,11 @@ def test_usage_errors_exit_2(capsys, argv):
     ["matrix", "--basis", "recurrence", "--field", "real", "--alpha", "1,1", "--beta", "0,inf"],
     ["matrix", "--basis", "recurrence", "--field", "real", "--alpha", "1,1", "--gamma", "0,-inf"],
     ["matrix", "--basis", "recurrence", "--field", "complex", "--alpha", "1,nan+1i"],
+    # finite inputs whose printed result would hold inf or nan
+    ["matrix", "--basis", "lagrange", "--nodes", "1e-320,2e-320", "--field", "real"],
+    ["matrix", "--basis", "recurrence", "--alpha", "1e300,1e-300", "--beta", "1e300,1",
+     "--field", "real", "--pinv"],
+    ["weights", "--nodes", "1e-320,2e-320", "--field", "real"],
 ])
 def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -401,6 +406,14 @@ def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("polydiff: error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_finite_output_with_overflowing_sum_exits_0(capsys):
+    # the entries 8e+307 and 1.6e+308 sum past the float range; each is finite
+    code, out, err = run_cli(capsys, [
+        "matrix", "--basis", "newton", "--nodes=0,-1,-8e307,1", "--field", "real"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["0.0,1.0,1.0,8e+307", "0.0,0.0,2.0,1.6e+308"]
 
 
 def test_unknown_choices_exit_2(capsys):

@@ -1,4 +1,4 @@
-"""Field promotion rules, dense matrices, vectors, and node sets."""
+"""Field promotion rules, dense matrices, matrix-vector products, and node sets."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from polydiff.core import (
     BernsteinBasis,
-    CoeffVector,
     DegreeGradedBasis,
     DenseMatrix,
     Field,
@@ -98,13 +97,9 @@ def test_matrix_field_inference_and_promotion():
 def test_matrix_arithmetic():
     A = DenseMatrix.from_rows([[1, 2], [3, 4]])
     B = DenseMatrix.from_rows([[0, 1], [1, 0]])
-    assert (A + B).to_rows() == [[1, 3], [4, 4]]
-    assert (A - A) == DenseMatrix.zeros(2, 2)
     assert (A * B).to_rows() == [[2, 1], [4, 3]]
     assert (2 * A).to_rows() == [[2, 4], [6, 8]]
     assert A.transpose().to_rows() == [[1, 3], [2, 4]]
-    with pytest.raises(ValueError):
-        A + DenseMatrix.zeros(3, 2)
     with pytest.raises(ValueError):
         A * DenseMatrix.zeros(3, 3)
 
@@ -211,33 +206,13 @@ def test_norms_are_exact_on_rationals():
 
 # ---------------------------------------------------------------- vectors
 
-def test_coeff_vector_basics():
-    v = CoeffVector([1, Fraction(1, 2)])
-    assert len(v) == 2 and v[1] == Fraction(1, 2)
-    assert v == [1, Fraction(1, 2)]
-    assert v == CoeffVector([Fraction(1), Fraction(1, 2)])
-    assert v != [1]
-
-
-def test_coeff_vector_checks_basis_dimension():
-    with pytest.raises(ValueError):
-        CoeffVector([1, 2, 3], basis=BernsteinBasis(1))
-
-
 def test_mat_apply():
     D = DenseMatrix.from_rows([[0, 1, 0], [0, 0, 2], [0, 0, 0]])
     b = mat_apply(D, [Fraction(5), Fraction(3), Fraction(7)])
     assert list(b) == [3, 14, 0]
-    assert mat_apply(D, [1.0, 0.0, 0.0]).field is Field.REAL
+    assert all(type(e) is float for e in mat_apply(D, [1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         mat_apply(D, [1, 2])
-
-
-def test_mat_apply_keeps_basis_when_square():
-    basis = BernsteinBasis(2)
-    v = CoeffVector([1, 1, 1], basis=basis)
-    out = mat_apply(DenseMatrix.identity(3), v)
-    assert out.basis is basis
 
 
 # ---------------------------------------------------------------- node sets

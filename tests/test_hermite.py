@@ -115,7 +115,7 @@ def test_basis_elements_match_cardinal_polynomials():
 def test_constant_data_layout():
     d = constant_data(REFERENCE_NODES, value=Fraction(5))
     assert list(d) == [5, 0, 0, 5, 0, 0, 0, 5, 0]
-    assert d.basis.dimension == 9
+    assert len(d) == 9
 
 
 # ---------------------------------------------------------------- matrix

@@ -1,14 +1,18 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name the benchmark traces exists.
 
-``__init__.py`` is exempt, since its imports are the package's exports.
+``__init__.py`` is exempt from the import check, since its imports are
+the package's exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polydiff"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polydiff"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,3 +40,12 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "from fractions import Fraction\nimport math\nimport os.path\n\nmath.pi\n"
     assert unused_imports(source) == ["line 1: Fraction", "line 3: os"]
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # the benchmark's own loader purges sys.modules, so import the modules here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    mods = {name: importlib.import_module(f"polydiff.{name}") for name in workloads.MODULE_NAMES}
+    assert len(tracing.layer_targets(mods)) >= len(tracing.LAYERS)
