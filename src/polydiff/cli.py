@@ -77,7 +77,12 @@ def format_scalar(x) -> str:
         return f"{x.real!r}{sign}{abs(x.imag)!r}i"
     if isinstance(x, float):
         return repr(x)
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        # Python refuses to turn integers past its digit limit into text
+        raise ValueError(f"exact result too long to print: a numerator or denominator "
+                         f"has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _read_values(spec: str) -> list[str]:

@@ -160,10 +160,6 @@ class DenseMatrix:
     def to_rows(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "DenseMatrix":
-        out = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return DenseMatrix(self.cols, self.rows, out, self.field)
-
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
             if self.cols != other.rows:

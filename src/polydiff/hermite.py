@@ -40,9 +40,6 @@ from .core import (
     Field,
     NodeSet,
     as_node_set,
-    coerce_scalar,
-    field_of,
-    join_fields,
     one_of,
     zero_of,
 )
@@ -154,18 +151,17 @@ def hermite_eval(w: GenBaryWeights, data, z):
     return _node_product(diffs, nodes.confluencies) * total
 
 
-def constant_data(nodes, value=1) -> tuple:
-    """Layout vector of the constant polynomial: value at each node, zero derivatives.
+def constant_data(nodes) -> tuple:
+    """Layout vector of the constant 1: one at each node, zero derivatives.
 
-    The entries share the nodes' field (or the value's, if larger), so
-    floating nodes get floating data even at confluency 1.
+    The entries share the nodes' field, so floating nodes get floating
+    data even at confluency 1.
     """
     nodes = as_node_set(nodes)
-    field = join_fields(nodes.field, field_of(value))
-    value, zero = coerce_scalar(value, field), zero_of(field)
+    one, zero = one_of(nodes.field), zero_of(nodes.field)
     out = []
     for s in nodes.confluencies:
-        out.append(value)
+        out.append(one)
         out.extend([zero] * (s - 1))
     return tuple(out)
 

@@ -127,8 +127,10 @@ def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
     """
     if D.rows != D.cols or (V.rows, V.cols) != (D.rows, D.cols):
         raise ValueError("dimension mismatch")
-    Jt = jordan_block(D.rows, V.field).transpose()
-    return V * Jt * invert_matrix(V)
+    # V J^T is V shifted one column left, with a zero last column
+    n, zero = V.rows, zero_of(V.field)
+    VJt = DenseMatrix(n, n, [e for i in range(n) for e in V.row(i)[1:] + (zero,)], V.field)
+    return VJt * invert_matrix(V)
 
 
 def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-10) -> bool:

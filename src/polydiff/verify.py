@@ -5,9 +5,13 @@ small dimensions (at most 12) and reports pass/fail with a short
 detail string.  Randomized instances use a fixed seed so every run
 sees the same cases.
 
-Checks call the library through the module namespaces on purpose, so a
-test harness can substitute a deliberately corrupted constructor and
-confirm that verification really fails.
+A kind of check that several families share (agreement with a
+reference matrix, the conjugation oracle, the antiderivative, the
+vanishing derivative of the constant, the nilpotency index) is written
+once and reaches each family through ``families.FAMILIES``.  Checks
+call the library through that table and the module namespaces on
+purpose, so a test harness can substitute a deliberately corrupted
+constructor and confirm that verification really fails.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ from fractions import Fraction
 
 from . import bernstein, degree_graded, hermite, lagrange, structure
 from .experiments import chebyshev_points
-from .core import (
-    BernsteinBasis,
-    DenseMatrix,
-    Field,
-    HermiteBasis,
-    LagrangeBasis,
-    NodeSet,
-    mat_apply,
-)
+from .core import DenseMatrix, Field, NodeSet, mat_apply
 from .families import FAMILIES
 
 _SEED = 20250825
@@ -42,71 +38,86 @@ class CheckResult:
     detail: str = ""
 
 
-def _random_rationals(rng, count, lo=-8, hi=8, den=4):
+# ---------------------------------------------------------------- instances
+
+def _rng(k: int) -> random.Random:
+    """The k-th check's own random stream."""
+    return random.Random(_SEED + k)
+
+
+def _random_rationals(rng, count):
     out = []
     while len(out) < count:
-        q = Fraction(rng.randint(lo, hi), rng.randint(1, den))
+        q = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         if q not in out:
             out.append(q)
     return out
 
 
-def _zero_rows(M) -> bool:
-    return all(sum(M.row(i), Fraction(0)) == 0 for i in range(M.rows))
+def _rational_sets(rng, count, most):
+    """``count`` node sets, each of 2 to ``most`` distinct random rationals."""
+    for _ in range(count):
+        yield NodeSet(_random_rationals(rng, rng.randint(2, most)))
 
 
-# ---------------------------------------------------------------- checks
-
-def check_monomial_explicit_vs_recurrence():
-    for n in range(13):
-        D = degree_graded.diff_matrix_degree_graded(degree_graded.monomial_recurrence(n), n)
-        expected = DenseMatrix(n + 1, n + 1,
-                               [Fraction(j) if j == i + 1 else Fraction(0)
-                                for i in range(n + 1) for j in range(n + 1)])
-        if D != expected:
-            return False, f"monomial matrix wrong at n={n}"
-    return True, "n <= 12"
-
-
-def check_chebyshev_explicit_vs_recurrence():
-    for n in range(13):
-        a = degree_graded.chebyshev_diff_matrix(n)
-        b = degree_graded.diff_matrix_degree_graded(degree_graded.chebyshev_recurrence(n), n)
-        if a != b:
-            return False, f"closed form disagrees with recurrence at n={n}"
-    return True, "n <= 12"
+def _hermite_sets(rng, count, most=12):
+    """``count`` confluent node sets of 1 to 4 nodes, of dimension at most ``most``."""
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        ts = _random_rationals(rng, n)
+        budget = most - n
+        conf = []
+        for _ in range(n):
+            extra = rng.randint(0, min(3, budget)) if budget > 0 else 0
+            conf.append(1 + extra)
+            budget -= extra
+        yield NodeSet(ts, conf)
 
 
-def check_chebyshev_antideriv_inverts():
-    # differentiating the antiderivative gives the identity off the constant slot
-    for n in (3, 7, 12):
-        D = degree_graded.chebyshev_diff_matrix(n)
-        A = degree_graded.chebyshev_antideriv_matrix(n)
-        P = D * A
-        for i in range(n):
-            for j in range(n):
-                want = 1 if i == j else 0
-                if P[i, j] != want:
-                    return False, f"(D A)[{i},{j}] = {P[i, j]} at n={n}"
-    return True, "D A = I on the first n coefficients"
+def _basis_instances(rng):
+    """(name, descriptor, differentiation matrix) for one instance per family."""
+    for name in KNOWN_BASES:
+        family = FAMILIES[name]
+        if family.arg == "degree":
+            arg = rng.randint(1, 7)
+        elif name == "hermite":
+            arg = next(_hermite_sets(rng, 1, most=8))
+        else:
+            arg = next(_rational_sets(rng, 1, 6))
+        yield name, family.basis(arg), family.diff_matrix(arg)
 
 
-def check_legendre_pattern():
-    n = 12
-    D = degree_graded.diff_matrix_degree_graded(degree_graded.legendre_recurrence(n), n)
-    for r in range(n + 1):
-        for c in range(n + 1):
-            want = Fraction(2 * r + 1) if (c > r and (c - r) % 2 == 1) else Fraction(0)
-            if D[r, c] != want:
-                return False, f"entry ({r},{c}) = {D[r, c]}, expected {want}"
-    return True, "row r holds 2r+1 on columns r+1, r+3, ..."
+def _instance(arg) -> str:
+    return f"degree {arg}" if isinstance(arg, int) else repr(arg)
 
 
-def check_legendre_antideriv_inverts():
-    for n in (3, 8, 12):
-        D = degree_graded.diff_matrix_degree_graded(degree_graded.legendre_recurrence(n), n)
-        A = degree_graded.legendre_antideriv_matrix(n)
-        P = D * A
+# ---------------------------------------------------------------- check kinds
+
+def _agrees(name, instances, reference, detail):
+    """The family's matrix equals ``reference(arg)`` on every instance."""
+    family = FAMILIES[name]
+    for arg in instances:
+        if family.diff_matrix(arg) != reference(arg):
+            return False, f"mismatch at {_instance(arg)}"
+    return True, detail
+
+
+def _matches(name, arg, rows, detail):
+    """The family's matrix at one instance equals the hand-computed ``rows``."""
+    return _agrees(name, [arg], lambda _: DenseMatrix.from_rows(rows), detail)
+
+
+def _matches_oracle(name, instances, detail):
+    """The family's matrix equals the monomial matrix conjugated into its basis."""
+    basis = FAMILIES[name].basis
+    return _agrees(name, instances, lambda arg: structure.conjugation_oracle(basis(arg)), detail)
+
+
+def _antideriv_inverts(name, sizes):
+    """Differentiating the antiderivative gives the identity off the constant slot."""
+    family = FAMILIES[name]
+    for n in sizes:
+        P = family.diff_matrix(n) * family.antideriv(n)
         for i in range(n):
             for j in range(n):
                 if P[i, j] != (1 if i == j else 0):
@@ -114,50 +125,63 @@ def check_legendre_antideriv_inverts():
     return True, "D A = I on the first n coefficients"
 
 
-def check_newton_equal_nodes():
-    for dim in (1, 4, 9):
-        D = degree_graded.newton_diff_matrix(NodeSet([Fraction(5, 7)], [dim]))
-        M = degree_graded.diff_matrix_degree_graded(degree_graded.monomial_recurrence(dim - 1), dim - 1)
-        if D != M:
-            return False, f"all-equal centers at dim {dim} do not give the monomial matrix"
-    return True, "all-equal centers give the monomial matrix"
+def _constant_vanishes(name, instances, detail):
+    """D maps the constant polynomial to zero.
+
+    Its coefficients are ``hermite.constant_data`` in the Lagrange and
+    Hermite data layouts and all ones in the Bernstein basis, so in the
+    Lagrange and Bernstein bases this says every row sums to zero.
+    """
+    family = FAMILIES[name]
+    for arg in instances:
+        D = family.diff_matrix(arg)
+        one = hermite.constant_data(arg) if family.arg == "nodes" else (1,) * D.cols
+        if any(mat_apply(D, one)):
+            return False, f"derivative of the constant is nonzero at {_instance(arg)}"
+    return True, detail
 
 
-def check_newton_oracle():
-    rng = random.Random(_SEED)
-    for _ in range(4):
-        zs = _random_rationals(rng, rng.randint(2, 6))
-        ns = NodeSet(zs)
-        D = degree_graded.newton_diff_matrix(ns)
-        if D != structure.conjugation_oracle(degree_graded.newton_basis(ns)):
-            return False, f"oracle mismatch at centers {zs}"
-    return True, "4 random rational center sets"
+def _nilpotent(D):
+    """A differentiation matrix's nilpotency index is its dimension."""
+    idx = structure.nilpotency_index(D)
+    return idx == D.rows, f"index {idx} at dimension {D.rows}"
 
+
+def _monomial_matrix(n):
+    """Degree-n monomial differentiation: j at row j - 1 of column j."""
+    return DenseMatrix.from_rows([[j if j == i + 1 else 0 for j in range(n + 1)]
+                                  for i in range(n + 1)])
+
+
+def _lagrange_reference(ns):
+    """b_j / (b_i (t_i - t_j)) with b_k = 1 / prod_{j != k} (t_k - t_j),
+    and the diagonal that makes every row sum to zero."""
+    ts = ns.nodes
+    n = len(ts)
+    b = [1 / math.prod(ts[k] - ts[j] for j in range(n) if j != k) for k in range(n)]
+    rows = []
+    for i in range(n):
+        row = [b[j] / (b[i] * (ts[i] - ts[j])) if j != i else 0 for j in range(n)]
+        row[i] = -sum(row)
+        rows.append(row)
+    return DenseMatrix.from_rows(rows, Field.RATIONAL)
+
+
+# ---------------------------------------------------------------- single-family checks
 
 def check_lagrange_reference_matrix():
     ns = NodeSet([Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)])
-    D = lagrange.diff_matrix_lagrange(ns)
-    expected = DenseMatrix.from_rows(
-        [[Fraction(x, 6) for x in row] for row in
-         [[-19, 24, -8, 3], [-6, 2, 6, -2], [2, -6, -2, 6], [-3, 8, -24, 19]]])
-    return D == expected, "4 symmetric rational nodes"
-
-
-def check_lagrange_row_sums():
-    rng = random.Random(_SEED + 1)
-    for _ in range(5):
-        ns = NodeSet(_random_rationals(rng, rng.randint(2, 8)))
-        if not _zero_rows(lagrange.diff_matrix_lagrange(ns)):
-            return False, f"nonzero row sum for nodes {ns.nodes}"
-    return True, "derivative of the constant vanishes"
+    return _matches("lagrange", ns, [[Fraction(x, 6) for x in row] for row in
+                                     [[-19, 24, -8, 3], [-6, 2, 6, -2],
+                                      [2, -6, -2, 6], [-3, 8, -24, 19]]],
+                    "4 symmetric rational nodes")
 
 
 def check_lagrange_monomial_exactness():
-    rng = random.Random(_SEED + 2)
+    rng = _rng(2)
     for _ in range(3):
         ts = _random_rationals(rng, 6)
-        ns = NodeSet(ts)
-        D = lagrange.diff_matrix_lagrange(ns)
+        D = FAMILIES["lagrange"].diff_matrix(NodeSet(ts))
         for k in range(6):
             values = [t ** k for t in ts]
             want = [k * t ** (k - 1) if k else Fraction(0) for t in ts]
@@ -169,7 +193,7 @@ def check_lagrange_monomial_exactness():
 def check_lagrange_forms_agree():
     # clustered random nodes make both forms lose digits for reasons that
     # have nothing to do with the formulas, so well-separated points only
-    rng = random.Random(_SEED + 3)
+    rng = _rng(3)
     worst = 0.0
     for n in (5, 12, 23, 34, 50):
         ns = NodeSet(chebyshev_points(n))
@@ -186,40 +210,8 @@ def check_lagrange_forms_agree():
     return worst <= 1e-13, f"worst relative gap {worst:.3e}"
 
 
-def check_lagrange_oracle():
-    rng = random.Random(_SEED + 4)
-    for _ in range(4):
-        ns = NodeSet(_random_rationals(rng, rng.randint(2, 7)))
-        D = lagrange.diff_matrix_lagrange(ns)
-        if D != structure.conjugation_oracle(LagrangeBasis(ns)):
-            return False, f"oracle mismatch at nodes {ns.nodes}"
-    return True, "4 random rational node sets"
-
-
-def check_lagrange_nilpotency():
-    rng = random.Random(_SEED + 5)
-    ns = NodeSet(_random_rationals(rng, 5))
-    D = lagrange.diff_matrix_lagrange(ns)
-    idx = structure.nilpotency_index(D)
-    return idx == 5, f"index {idx} at dimension 5"
-
-
-def _random_hermite_nodes(rng, max_dim=12):
-    count = rng.randint(1, 4)
-    ts = _random_rationals(rng, count)
-    budget = max_dim - count
-    conf = []
-    for i in range(count):
-        extra = rng.randint(0, min(3, budget)) if budget > 0 else 0
-        conf.append(1 + extra)
-        budget -= extra
-    return NodeSet(ts, conf)
-
-
 def check_hermite_reference_matrix():
-    ns = NodeSet([-1, 0, 1], [3, 4, 2])
-    D = hermite.diff_matrix_hermite(ns)
-    expected = DenseMatrix.from_rows([
+    return _matches("hermite", NodeSet([-1, 0, 1], [3, 4, 2]), [
         [0, 1, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 2, 0, 0, 0, 0, 0, 0],
         [Fraction(-201, 2), Fraction(-177, 4), -15, 96, -60, 24, -12, Fraction(9, 2), Fraction(-3, 4)],
@@ -229,47 +221,12 @@ def check_hermite_reference_matrix():
         [Fraction(83, 4), 6, 1, -24, 12, -12, 4, Fraction(13, 4), Fraction(-1, 2)],
         [0, 0, 0, 0, 0, 0, 0, 0, 1],
         [35, 11, 2, 0, 48, 0, 16, -35, 11],
-    ])
-    return D == expected, "9x9 on nodes -1, 0, 1 with confluencies 3, 4, 2"
-
-
-def _lagrange_reference(ts):
-    """b_j / (b_i (t_i - t_j)) with b_k = 1 / prod_{j != k} (t_k - t_j),
-    and the diagonal that makes every row sum to zero."""
-    n = len(ts)
-    b = [1 / math.prod(ts[k] - ts[j] for j in range(n) if j != k) for k in range(n)]
-    rows = []
-    for i in range(n):
-        row = [b[j] / (b[i] * (ts[i] - ts[j])) if j != i else 0 for j in range(n)]
-        row[i] = -sum(row)
-        rows.append(row)
-    return DenseMatrix.from_rows(rows, Field.RATIONAL)
-
-
-def check_hermite_confluency_one():
-    rng = random.Random(_SEED + 6)
-    for _ in range(3):
-        ns = NodeSet(_random_rationals(rng, rng.randint(2, 7)))
-        if hermite.diff_matrix_hermite(ns) != _lagrange_reference(ns.nodes):
-            return False, f"confluency-1 mismatch at {ns.nodes}"
-    return True, "confluency-1 matrix equals the Lagrange product formula"
-
-
-def check_hermite_constant_annihilation():
-    rng = random.Random(_SEED + 7)
-    for _ in range(3):
-        ns = _random_hermite_nodes(rng)
-        D = hermite.diff_matrix_hermite(ns)
-        out = mat_apply(D, hermite.constant_data(ns))
-        if any(c != 0 for c in out):
-            return False, f"constant not annihilated on {ns!r}"
-    return True, "derivative of the constant vanishes in the data layout"
+    ], "9x9 on nodes -1, 0, 1 with confluencies 3, 4, 2")
 
 
 def check_hermite_partial_fractions():
-    rng = random.Random(_SEED + 8)
-    for _ in range(3):
-        ns = _random_hermite_nodes(rng, max_dim=9)
+    rng = _rng(8)
+    for ns in _hermite_sets(rng, 3, most=9):
         w = hermite.gen_bary_weights(ns)
         for _ in range(3):
             # probes sit far outside the random node range, never colliding
@@ -282,41 +239,6 @@ def check_hermite_partial_fractions():
     return True, "sum of partial fractions reproduces 1/w exactly"
 
 
-def check_hermite_oracle():
-    rng = random.Random(_SEED + 9)
-    for _ in range(3):
-        ns = _random_hermite_nodes(rng)
-        D = hermite.diff_matrix_hermite(ns)
-        if D != structure.conjugation_oracle(HermiteBasis(ns)):
-            return False, f"oracle mismatch on {ns!r}"
-    return True, "3 random confluent node sets"
-
-
-def check_hermite_nilpotency():
-    ns = NodeSet([Fraction(0), Fraction(1, 3), Fraction(-2)], [2, 3, 1])
-    idx = structure.nilpotency_index(hermite.diff_matrix_hermite(ns))
-    return idx == 6, f"index {idx} at dimension 6"
-
-
-def check_bernstein_reference_matrix():
-    D = bernstein.diff_matrix_bernstein(4)
-    expected = DenseMatrix.from_rows([
-        [-4, 4, 0, 0, 0],
-        [-1, -2, 3, 0, 0],
-        [0, -2, 0, 2, 0],
-        [0, 0, -3, 2, 1],
-        [0, 0, 0, -4, 4],
-    ])
-    return D == expected, "degree 4"
-
-
-def check_bernstein_row_sums():
-    for n in range(13):
-        if not _zero_rows(bernstein.diff_matrix_bernstein(n)):
-            return False, f"nonzero row sum at degree {n}"
-    return True, "derivative of the constant vanishes, n <= 12"
-
-
 def check_bernstein_norms():
     for n, norm_d, norm_dn in bernstein.bernstein_norm_table(12):
         if norm_d != 2 * n or norm_dn != 2 ** n * math.factorial(n):
@@ -324,32 +246,10 @@ def check_bernstein_norms():
     return True, "|D| = 2n and |D^n| = 2^n n!, n <= 12"
 
 
-def check_bernstein_oracle():
-    for n in (1, 4, 7, 11):
-        if bernstein.diff_matrix_bernstein(n) != structure.conjugation_oracle(BernsteinBasis(n)):
-            return False, f"oracle mismatch at degree {n}"
-    return True, "degrees 1, 4, 7, 11"
-
-
-def _random_arg(rng, name, family):
-    if family.arg == "degree":
-        return rng.randint(1, 7)
-    if name == "hermite":
-        return _random_hermite_nodes(rng, max_dim=8)
-    return NodeSet(_random_rationals(rng, rng.randint(2, 6)))
-
-
-def _basis_instances(rng):
-    """(name, descriptor, differentiation matrix) for one instance per family."""
-    for name in KNOWN_BASES:
-        family = FAMILIES[name]
-        arg = _random_arg(rng, name, family)
-        yield name, family.basis(arg), family.diff_matrix(arg)
-
+# ---------------------------------------------------------------- every-family checks
 
 def check_monomial_image_shifting():
-    rng = random.Random(_SEED + 10)
-    for name, basis, D in _basis_instances(rng):
+    for name, basis, D in _basis_instances(_rng(10)):
         M = structure.monomial_images(basis)
         for k in range(basis.dimension):
             got = list(mat_apply(D, M.column(k)))
@@ -360,8 +260,7 @@ def check_monomial_image_shifting():
 
 
 def check_jordan_similarity():
-    rng = random.Random(_SEED + 11)
-    for name, basis, D in _basis_instances(rng):
+    for name, basis, D in _basis_instances(_rng(11)):
         V = structure.build_V(structure.monomial_images(basis))
         if not structure.jordan_check(D, V):
             return False, f"D V != V J in {name}"
@@ -369,8 +268,7 @@ def check_jordan_similarity():
 
 
 def check_generalized_inverse():
-    rng = random.Random(_SEED + 12)
-    for name, basis, D in _basis_instances(rng):
+    for name, basis, D in _basis_instances(_rng(12)):
         V = structure.build_V(structure.monomial_images(basis))
         Dp = structure.pseudo_inverse(D, V)
         if not structure.verify_generalized_inverse(D, Dp):
@@ -378,30 +276,58 @@ def check_generalized_inverse():
     return True, "D D+ D = D and D+ D D+ = D+ in every family"
 
 
+# Each row is (name, basis tag, check); a check returns (ok, detail) and
+# draws its random instances only when it runs.
 _CHECKS = [
-    ("monomial-explicit-vs-recurrence", "monomial", check_monomial_explicit_vs_recurrence),
-    ("chebyshev-explicit-vs-recurrence", "chebyshev", check_chebyshev_explicit_vs_recurrence),
-    ("chebyshev-antideriv-inverts", "chebyshev", check_chebyshev_antideriv_inverts),
-    ("legendre-row-pattern", "legendre", check_legendre_pattern),
-    ("legendre-antideriv-inverts", "legendre", check_legendre_antideriv_inverts),
-    ("newton-equal-centers-monomial", "newton", check_newton_equal_nodes),
-    ("newton-conjugation-oracle", "newton", check_newton_oracle),
+    ("monomial-explicit-vs-recurrence", "monomial",
+     lambda: _agrees("monomial", range(13), _monomial_matrix, "n <= 12")),
+    ("chebyshev-explicit-vs-recurrence", "chebyshev",
+     lambda: _agrees("chebyshev", range(13), lambda n: degree_graded.diff_matrix_degree_graded(
+         degree_graded.chebyshev_recurrence(n), n), "n <= 12")),
+    ("chebyshev-antideriv-inverts", "chebyshev", lambda: _antideriv_inverts("chebyshev", (3, 7, 12))),
+    ("legendre-row-pattern", "legendre",
+     lambda: _matches("legendre", 12, [[2 * r + 1 if c > r and (c - r) % 2 else 0 for c in range(13)]
+                                       for r in range(13)],
+                      "row r holds 2r+1 on columns r+1, r+3, ...")),
+    ("legendre-antideriv-inverts", "legendre", lambda: _antideriv_inverts("legendre", (3, 8, 12))),
+    ("newton-equal-centers-monomial", "newton",
+     lambda: _agrees("newton", [NodeSet([Fraction(5, 7)], [dim]) for dim in (1, 4, 9)],
+                     lambda ns: _monomial_matrix(ns.dimension - 1),
+                     "all-equal centers give the monomial matrix")),
+    ("newton-conjugation-oracle", "newton",
+     lambda: _matches_oracle("newton", _rational_sets(_rng(0), 4, 6), "4 random rational center sets")),
     ("lagrange-reference-matrix", "lagrange", check_lagrange_reference_matrix),
-    ("lagrange-row-sums-vanish", "lagrange", check_lagrange_row_sums),
+    ("lagrange-row-sums-vanish", "lagrange",
+     lambda: _constant_vanishes("lagrange", _rational_sets(_rng(1), 5, 8),
+                                "derivative of the constant vanishes")),
     ("lagrange-monomial-exactness", "lagrange", check_lagrange_monomial_exactness),
     ("lagrange-barycentric-forms-agree", "lagrange", check_lagrange_forms_agree),
-    ("lagrange-conjugation-oracle", "lagrange", check_lagrange_oracle),
-    ("lagrange-nilpotency-index", "lagrange", check_lagrange_nilpotency),
+    ("lagrange-conjugation-oracle", "lagrange",
+     lambda: _matches_oracle("lagrange", _rational_sets(_rng(4), 4, 7), "4 random rational node sets")),
+    ("lagrange-nilpotency-index", "lagrange",
+     lambda: _nilpotent(FAMILIES["lagrange"].diff_matrix(NodeSet(_random_rationals(_rng(5), 5))))),
     ("hermite-reference-matrix", "hermite", check_hermite_reference_matrix),
-    ("hermite-confluency-one-is-lagrange", "hermite", check_hermite_confluency_one),
-    ("hermite-constant-annihilation", "hermite", check_hermite_constant_annihilation),
+    ("hermite-confluency-one-is-lagrange", "hermite",
+     lambda: _agrees("hermite", _rational_sets(_rng(6), 3, 7), _lagrange_reference,
+                     "confluency-1 matrix equals the Lagrange product formula")),
+    ("hermite-constant-annihilation", "hermite",
+     lambda: _constant_vanishes("hermite", _hermite_sets(_rng(7), 3),
+                                "derivative of the constant vanishes in the data layout")),
     ("hermite-partial-fractions", "hermite", check_hermite_partial_fractions),
-    ("hermite-conjugation-oracle", "hermite", check_hermite_oracle),
-    ("hermite-nilpotency-index", "hermite", check_hermite_nilpotency),
-    ("bernstein-reference-matrix", "bernstein", check_bernstein_reference_matrix),
-    ("bernstein-row-sums-vanish", "bernstein", check_bernstein_row_sums),
+    ("hermite-conjugation-oracle", "hermite",
+     lambda: _matches_oracle("hermite", _hermite_sets(_rng(9), 3), "3 random confluent node sets")),
+    ("hermite-nilpotency-index", "hermite",
+     lambda: _nilpotent(FAMILIES["hermite"].diff_matrix(
+         NodeSet([Fraction(0), Fraction(1, 3), Fraction(-2)], [2, 3, 1])))),
+    ("bernstein-reference-matrix", "bernstein",
+     lambda: _matches("bernstein", 4, [[-4, 4, 0, 0, 0], [-1, -2, 3, 0, 0], [0, -2, 0, 2, 0],
+                                       [0, 0, -3, 2, 1], [0, 0, 0, -4, 4]], "degree 4")),
+    ("bernstein-row-sums-vanish", "bernstein",
+     lambda: _constant_vanishes("bernstein", range(13),
+                                "derivative of the constant vanishes, n <= 12")),
     ("bernstein-norm-identities", "bernstein", check_bernstein_norms),
-    ("bernstein-conjugation-oracle", "bernstein", check_bernstein_oracle),
+    ("bernstein-conjugation-oracle", "bernstein",
+     lambda: _matches_oracle("bernstein", (1, 4, 7, 11), "degrees 1, 4, 7, 11")),
     ("monomial-image-shifting", "all", check_monomial_image_shifting),
     ("jordan-similarity", "all", check_jordan_similarity),
     ("generalized-inverse-conditions", "all", check_generalized_inverse),

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, serialization, exit codes, golden outputs."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 import polydiff.bernstein
 import polydiff.degree_graded
 import polydiff.hermite
+import polydiff.lagrange
 from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.cli import (
     UsageError,
@@ -98,6 +100,9 @@ def test_format_scalar():
     assert format_scalar(0.5) == "0.5"
     assert format_scalar(1.5 + 0.5j) == "1.5+0.5i"
     assert format_scalar(1.5 - 0.5j) == "1.5-0.5i"
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"more than {limit} digits"):
+        format_scalar(Fraction(1, 10 ** limit))
 
 
 @given(st.fractions(max_denominator=10 ** 6))
@@ -399,6 +404,9 @@ def test_usage_errors_exit_2(capsys, argv):
     ["matrix", "--basis", "recurrence", "--alpha", "1e300,1e-300", "--beta", "1e300,1",
      "--field", "real", "--pinv"],
     ["weights", "--nodes", "1e-320,2e-320", "--field", "real"],
+    # exact results whose integers pass Python's integer-to-text digit limit
+    ["matrix", "--basis", "lagrange", "--nodes", "0,1e-2200,1"],
+    ["weights", "--nodes", "0,1e-2200,1"],
 ])
 def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -406,6 +414,8 @@ def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("polydiff: error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    # the message speaks of the package, not of the interpreter's settings
+    assert "set_int_max_str_digits" not in err
 
 
 def test_finite_output_with_overflowing_sum_exits_0(capsys):
@@ -494,6 +504,51 @@ def test_verify_detects_corrupted_hermite_in_family_checks(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 1
     assert "FAIL jordan-similarity: D V != V J in hermite" in out
+
+
+def _doubled(constructor):
+    return lambda *args: constructor(*args) * 2
+
+
+def _identity(constructor):
+    return lambda *args: DenseMatrix.identity(constructor(*args).rows)
+
+
+@pytest.mark.parametrize("module,name,corrupt,basis,failed", [
+    ("degree_graded", "diff_matrix_degree_graded", _doubled, "monomial",
+     {"monomial-explicit-vs-recurrence"}),
+    ("degree_graded", "chebyshev_diff_matrix", _doubled, "chebyshev",
+     {"chebyshev-explicit-vs-recurrence", "chebyshev-antideriv-inverts"}),
+    ("degree_graded", "newton_diff_matrix", _doubled, "newton",
+     {"newton-equal-centers-monomial", "newton-conjugation-oracle"}),
+    ("lagrange", "diff_matrix_lagrange", _doubled, "lagrange",
+     {"lagrange-reference-matrix", "lagrange-monomial-exactness", "lagrange-conjugation-oracle"}),
+    ("hermite", "diff_matrix_hermite", _doubled, "hermite",
+     {"hermite-reference-matrix", "hermite-confluency-one-is-lagrange",
+      "hermite-conjugation-oracle"}),
+    ("bernstein", "diff_matrix_bernstein", _doubled, "bernstein",
+     {"bernstein-reference-matrix", "bernstein-norm-identities", "bernstein-conjugation-oracle"}),
+    ("degree_graded", "legendre_antideriv_matrix", _doubled, "legendre",
+     {"legendre-antideriv-inverts"}),
+    ("degree_graded", "chebyshev_antideriv_matrix", _doubled, "chebyshev",
+     {"chebyshev-antideriv-inverts"}),
+    # doubling keeps the constant's derivative zero and the nilpotency
+    # index; the identity breaks both
+    ("lagrange", "diff_matrix_lagrange", _identity, "lagrange",
+     {"lagrange-reference-matrix", "lagrange-row-sums-vanish", "lagrange-monomial-exactness",
+      "lagrange-conjugation-oracle", "lagrange-nilpotency-index"}),
+    ("hermite", "diff_matrix_hermite", _identity, "hermite",
+     {"hermite-reference-matrix", "hermite-confluency-one-is-lagrange",
+      "hermite-constant-annihilation", "hermite-conjugation-oracle", "hermite-nilpotency-index"}),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else v if isinstance(v, str) else "")
+def test_verify_fails_exactly_the_checks_of_a_corrupted_constructor(
+        monkeypatch, capsys, module, name, corrupt, basis, failed):
+    namespace = getattr(polydiff, module)
+    monkeypatch.setattr(namespace, name, corrupt(getattr(namespace, name)))
+    code, out, _ = run_cli(capsys, ["verify", "--basis", basis])
+    assert code == 1
+    assert {line.removeprefix("FAIL ").split(":")[0] for line in out.splitlines()
+            if line.startswith("FAIL ")} == failed
 
 
 # ---------------------------------------------------------------- experiment command

@@ -113,8 +113,8 @@ def test_basis_elements_match_cardinal_polynomials():
 
 
 def test_constant_data_layout():
-    d = constant_data(REFERENCE_NODES, value=Fraction(5))
-    assert list(d) == [5, 0, 0, 5, 0, 0, 0, 5, 0]
+    d = constant_data(REFERENCE_NODES)
+    assert list(d) == [1, 0, 0, 1, 0, 0, 0, 1, 0]
     assert len(d) == 9
 
 
