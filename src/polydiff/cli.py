@@ -17,7 +17,6 @@ floating-point result that would print inf or nan).
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import re
 import sys
@@ -25,39 +24,26 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import experiments, hermite, structure, verify
-from .core import DenseMatrix, Field, NodeSet, promote_matrix
+from .core import DenseMatrix, Field, NodeSet, all_finite, promote_matrix
 from .degree_graded import RecurrenceSpec
 from .families import FAMILIES
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags or unparseable values; reported on stderr, exit code 2."""
 
 
 # ------------------------------------------------------------ scalars
 
 def parse_complex(s: str) -> complex:
-    """Parse "a+bi" (also bare "a", "bi", "i", "-i"); exponents allowed."""
-    t = s.strip().replace(" ", "")
-    if not t:
-        raise ValueError("empty complex literal")
-    if t[-1] not in "iI":
-        return complex(float(t), 0.0)
-    body = t[:-1]
-    # split at the last sign that is neither leading nor part of an exponent
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part, im_part = body[:k], body[k:]
-            break
-    else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = 1.0
-    elif im_part == "-":
-        im = -1.0
-    else:
-        im = float(im_part)
-    return complex(float(re_part) if re_part else 0.0, im)
+    """Python's complex literal with i or I in place of j: "1+2i", "-i", "1e3".
+
+    Whitespace inside the token is ignored; j, J and parentheses are refused.
+    """
+    t = "".join(s.split())
+    if any(c in "jJ()" for c in t):
+        raise ValueError(f"not a complex literal: {s!r}")
+    return complex(t[:-1] + "j" if t.endswith(("i", "I")) else t)
 
 
 def parse_scalar(s: str, field: Field):
@@ -68,7 +54,12 @@ def parse_scalar(s: str, field: Field):
             return float(s)
         return parse_complex(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {s.strip()!r} as a {field.value} scalar") from exc
+        tok, limit = s.strip(), sys.get_int_max_str_digits()
+        shown = tok if len(tok) <= 40 else tok[:40] + "..."
+        # Python turns no more than ``limit`` digits of text into an integer
+        too_long = field is Field.RATIONAL and 0 < limit < sum(map(str.isdecimal, tok))
+        why = f" (it has more than {limit} digits)" if too_long else ""
+        raise UsageError(f"cannot parse {shown!r} as a {field.value} scalar{why}") from exc
 
 
 def format_scalar(x) -> str:
@@ -106,8 +97,9 @@ def parse_scalar_list(spec: str, field: Field) -> list:
 
 
 def parse_int_list(spec: str) -> list[int]:
+    tokens = _read_values(spec)   # its own UsageError passes through
     try:
-        return [int(tok) for tok in _read_values(spec)]
+        return [int(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"expected a comma list of integers, got {spec!r}") from exc
 
@@ -147,15 +139,6 @@ def _parse_node_set(args, field: Field) -> NodeSet:
     if conf is not None and len(conf) != len(nodes):
         raise UsageError(f"{len(nodes)} nodes but {len(conf)} confluencies")
     return NodeSet(nodes, conf)
-
-
-def _require_finite(field: Field, values) -> None:
-    """Reject floating-point output holding nan or inf; rationals always pass."""
-    # a finite sum has only finite terms, so the entrywise pass runs only
-    # when the sum is not finite: a non-finite entry or an overflowing sum
-    if field is not Field.RATIONAL and not cmath.isfinite(sum(values)) \
-            and not all(map(cmath.isfinite, values)):
-        raise ArithmeticError("the floating-point result is not finite")
 
 
 def _instance_arg(args, family, field: Field):
@@ -204,7 +187,8 @@ def cmd_matrix(args) -> int:
     # read before promotion: exact companions promoted to floats do not warn
     inexact_pinv = args.pinv and M.field is not Field.RATIONAL
     M = promote_matrix(M, field)
-    _require_finite(M.field, M.entries)
+    if not all_finite(M.field, M.entries):
+        raise ArithmeticError("the floating-point result is not finite")
     if inexact_pinv:
         print("polydiff: warning: pseudo-inverse computed in floating point; "
               "entries may lose accuracy", file=sys.stderr)
@@ -220,7 +204,8 @@ def cmd_weights(args) -> int:
     ns = _parse_node_set(args, field)
     w = hermite.gen_bary_weights(ns)
     rows = [(i, j, b) for i, wi in enumerate(w.weights) for j, b in enumerate(wi)]
-    _require_finite(ns.field, [b for _, _, b in rows])
+    if not all_finite(ns.field, [b for _, _, b in rows]):
+        raise ArithmeticError("the floating-point result is not finite")
     if args.fmt == "json":
         obj = {
             "nodes": [format_scalar(t) for t in ns.nodes],
@@ -338,11 +323,8 @@ def main(argv=None) -> int:
         list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"polydiff: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # constructor-level rejections (duplicate nodes, bad degrees, ...)
+        # usage errors and constructor-level rejections (duplicate nodes, ...)
         print(f"polydiff: error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

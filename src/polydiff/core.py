@@ -77,17 +77,33 @@ def _integer_scaled(xs) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-def _rational_products(rows, cols) -> list:
-    """Dot product of every row with every column, row-major, as Fractions.
+def _dot_products(rows, cols, field: Field) -> list:
+    """Dot product of every row with every column, row-major, in ``field``.
 
-    ``cols`` holds ``_integer_scaled`` columns; each row is scaled only
-    while its own entries are formed.
+    Rationals run over integers: each column, and each row while its own
+    entries are formed, is cleared of its denominators once, every dot
+    product is an integer sum and every entry one ``Fraction``.  Floating
+    fields sum left to right from zero.
     """
+    if field is not Field.RATIONAL:
+        zero = zero_of(field)
+        return [sum(map(mul, row, col), zero) for row in rows for col in cols]
+    cols = [_integer_scaled(col) for col in cols]
     out = []
     for row in rows:
         li, ri = _integer_scaled(row)
         out += [Fraction(sum(map(mul, ri, cj)), li * lj) for lj, cj in cols]
     return out
+
+
+def all_finite(field: Field, values) -> bool:
+    """Do none of the values hold inf or nan?  Rationals always pass.
+
+    A finite sum has only finite terms, so the entrywise pass runs only
+    when the sum is not finite: a non-finite entry or an overflowing sum.
+    """
+    return (field is Field.RATIONAL or cmath.isfinite(sum(values))
+            or all(map(cmath.isfinite, values)))
 
 
 def zero_of(field: Field):
@@ -103,11 +119,11 @@ class DenseMatrix:
 
     Storage is row-major.  Matrices here stay small (a few hundred rows
     at most), so no triangular or banded structure is exploited even
-    when the contents would allow it.  Rational products run over
-    integers: each row of the left factor and each column of the right
-    one is cleared of its denominators once, every dot product is an
-    integer sum, and each output entry is one ``Fraction``.  Floating
-    products sum left to right from zero.
+    when the contents would allow it.  Products and ``mat_apply`` share
+    one dot-product kernel: over rationals it clears each row of the left
+    factor and each column of the right one of its denominators once,
+    sums integers and forms one ``Fraction`` per entry; floating products
+    sum left to right from zero.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")
@@ -165,15 +181,8 @@ class DenseMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
             field = join_fields(self.field, other.field)
-            if field is Field.RATIONAL:
-                out = _rational_products(map(self.row, range(self.rows)),
-                                         [_integer_scaled(other.column(j))
-                                          for j in range(other.cols)])
-            else:
-                zero = zero_of(field)
-                cols = [other.column(j) for j in range(other.cols)]
-                out = [sum(map(mul, self.row(i), cj), zero)
-                       for i in range(self.rows) for cj in cols]
+            out = _dot_products(map(self.row, range(self.rows)),
+                                [other.column(j) for j in range(other.cols)], field)
             return DenseMatrix(self.rows, other.cols, out, field)
         # scalar
         field = join_fields(self.field, field_of(other))
@@ -218,7 +227,7 @@ class NodeSet:
             raise ValueError("confluencies must be at least 1")
         field = join_fields(*(field_of(t) for t in nodes))
         nodes = tuple(coerce_scalar(t, field) for t in nodes)
-        if field is not Field.RATIONAL and not all(map(cmath.isfinite, nodes)):
+        if not all_finite(field, nodes):
             raise ValueError("nodes must be finite numbers")
         for a in range(len(nodes)):
             for b in range(a + 1, len(nodes)):
@@ -353,12 +362,7 @@ def mat_apply(M: DenseMatrix, v) -> tuple:
     if M.cols != len(coeffs):
         raise ValueError(f"matrix has {M.cols} columns, vector has {len(coeffs)} entries")
     field = join_fields(M.field, *(field_of(c) for c in coeffs))
-    if field is Field.RATIONAL:
-        out = _rational_products(map(M.row, range(M.rows)), [_integer_scaled(coeffs)])
-    else:
-        zero = zero_of(field)
-        out = [sum(map(mul, M.row(i), coeffs), zero) for i in range(M.rows)]
-    return tuple(out)
+    return tuple(_dot_products(map(M.row, range(M.rows)), [coeffs], field))
 
 
 def mat_inf_norm(M: DenseMatrix):
@@ -393,10 +397,15 @@ def promote_matrix(M: DenseMatrix, field: Field) -> DenseMatrix:
 
 
 def approx_equal(a, b, tol: float = 1e-10) -> bool:
-    """Elementwise |a - b| <= tol * max(1, largest magnitude on either side)."""
+    """Elementwise |a - b| <= tol * max(1, largest magnitude on either side).
+
+    Two rational matrices compare exactly, whatever ``tol`` is.
+    """
     if isinstance(a, DenseMatrix) and isinstance(b, DenseMatrix):
         if (a.rows, a.cols) != (b.rows, b.cols):
             return False
+        if a.field is b.field is Field.RATIONAL:
+            return a.entries == b.entries
         xs, ys = a.entries, b.entries
     else:
         xs, ys = tuple(a), tuple(b)

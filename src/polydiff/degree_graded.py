@@ -14,7 +14,6 @@ slot (first row) by convention.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     DenseMatrix,
     Field,
     NodeSet,
+    all_finite,
     as_node_set,
     coerce_scalar,
     field_of,
@@ -53,8 +53,7 @@ class RecurrenceSpec:
         self.alpha = tuple(coerce_scalar(a, field) for a in alpha)
         self.beta = tuple(coerce_scalar(b, field) for b in beta)
         self.gamma = tuple(coerce_scalar(g, field) for g in gamma)
-        if field is not Field.RATIONAL and not all(
-                map(cmath.isfinite, self.alpha + self.beta + self.gamma)):
+        if not all_finite(field, self.alpha + self.beta + self.gamma):
             raise ValueError("recurrence coefficients must be finite numbers")
         self.field = field
 

@@ -30,15 +30,15 @@ rationals.  At confluency 1 they are the barycentric weights
 
 from __future__ import annotations
 
-import cmath
+import math
 from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import mul
 
 from .core import (
     DenseMatrix,
-    Field,
     NodeSet,
+    all_finite,
     as_node_set,
     one_of,
     zero_of,
@@ -106,7 +106,7 @@ def _weights_from_series(nodes: NodeSet, local) -> GenBaryWeights:
     """Invert each g_i to order s_i - 1; b_{i, s_i-1-t} is coefficient t."""
     rows = []
     for i, (g, si) in enumerate(zip(local, nodes.confluencies)):
-        if g[0] == 0 or (nodes.field is not Field.RATIONAL and not cmath.isfinite(g[0])):
+        if g[0] == 0 or not all_finite(nodes.field, (g[0],)):
             raise ArithmeticError(f"the node product g_{i}(t_{i}) = {g[0]!r} "
                                   "is outside the floating-point range")
         h = series_reciprocal(g, si - 1)
@@ -151,19 +151,21 @@ def hermite_eval(w: GenBaryWeights, data, z):
     return _node_product(diffs, nodes.confluencies) * total
 
 
-def constant_data(nodes) -> tuple:
-    """Layout vector of the constant 1: one at each node, zero derivatives.
+def monomial_data(nodes, k: int) -> tuple:
+    """Layout vector of x^k: C(k, j) t_i^(k-j) in slot (i, j), zero for j > k.
 
     The entries share the nodes' field, so floating nodes get floating
-    data even at confluency 1.
+    data even at k = 0.
     """
     nodes = as_node_set(nodes)
-    one, zero = one_of(nodes.field), zero_of(nodes.field)
-    out = []
-    for s in nodes.confluencies:
-        out.append(one)
-        out.extend([zero] * (s - 1))
-    return tuple(out)
+    zero = zero_of(nodes.field)
+    return tuple(math.comb(k, j) * t ** (k - j) if j <= k else zero
+                 for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s))
+
+
+def constant_data(nodes) -> tuple:
+    """Layout vector of the constant 1: one at each node, zero derivatives."""
+    return monomial_data(nodes, 0)
 
 
 def diff_matrix_hermite(nodes) -> DenseMatrix:

@@ -30,32 +30,21 @@ from .core import (
 )
 from .bernstein import monomial_in_bernstein
 from .degree_graded import multiply_by_x
+from .hermite import monomial_data
 
 
 def monomial_images(basis) -> DenseMatrix:
     """Matrix M whose column k holds the coefficients of x^k in the basis."""
     dim = basis.dimension
-    cols = []
     if isinstance(basis, DegreeGradedBasis):
-        rec = basis.recurrence
-        zero = zero_of(basis.field)
-        col = [one_of(basis.field)]
-        cols.append(tuple(col) + (zero,) * (dim - 1))
+        zero, cols = zero_of(basis.field), [[one_of(basis.field)]]
         for _ in range(dim - 1):
-            col = multiply_by_x(rec, col)
-            cols.append(tuple(col) + (zero,) * (dim - len(col)))
+            cols.append(multiply_by_x(basis.recurrence, cols[-1]))
+        cols = [tuple(c) + (zero,) * (dim - len(c)) for c in cols]
     elif isinstance(basis, HermiteBasis):   # LagrangeBasis too: confluency 1
-        nodes = basis.nodes
-        for k in range(dim):
-            col = []
-            for t, s in zip(nodes.nodes, nodes.confluencies):
-                for j in range(s):
-                    col.append(math.comb(k, j) * t ** (k - j) if j <= k
-                               else zero_of(basis.field))
-            cols.append(tuple(col))
+        cols = [monomial_data(basis.nodes, k) for k in range(dim)]
     elif isinstance(basis, BernsteinBasis):
-        for k in range(dim):
-            cols.append(monomial_in_bernstein(basis.degree, k))
+        cols = [monomial_in_bernstein(basis.degree, k) for k in range(dim)]
     else:
         raise TypeError(f"unsupported basis: {basis!r}")
     return DenseMatrix(dim, dim, [c for row in zip(*cols) for c in row])
@@ -111,11 +100,7 @@ def jordan_check(D: DenseMatrix, V: DenseMatrix, tol: float = 1e-10) -> bool:
     """Does D V = V J hold (exactly over rationals, to tol otherwise)?"""
     if D.rows != D.cols or (V.rows, V.cols) != (D.rows, D.cols):
         raise ValueError("dimension mismatch")
-    J = jordan_block(D.rows, D.field)
-    lhs, rhs = D * V, V * J
-    if D.field is Field.RATIONAL and V.field is Field.RATIONAL:
-        return lhs == rhs
-    return approx_equal(lhs, rhs, tol)
+    return approx_equal(D * V, V * jordan_block(D.rows, D.field), tol)
 
 
 def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
@@ -137,11 +122,7 @@ def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-
     """Check D D+ D = D and D+ D D+ = D+."""
     if (D.rows, D.cols) != (Dp.rows, Dp.cols):
         return False
-    c1 = D * Dp * D
-    c2 = Dp * D * Dp
-    if D.field is Field.RATIONAL and Dp.field is Field.RATIONAL:
-        return c1 == D and c2 == Dp
-    return approx_equal(c1, D, tol) and approx_equal(c2, Dp, tol)
+    return approx_equal(D * Dp * D, D, tol) and approx_equal(Dp * D * Dp, Dp, tol)
 
 
 def nilpotency_index(D: DenseMatrix) -> int:
@@ -163,13 +144,15 @@ def conjugation_oracle(basis) -> DenseMatrix:
     """Differentiation matrix built independently of any basis-specific rule.
 
     Conjugates the monomial differentiation matrix (superdiagonal
-    1, 2, 3, ...) by the basis-change matrix of monomial images.
-    Intended as a cross-check at small dimensions; the inversion makes
-    it far more expensive than the direct constructors.
+    1, 2, 3, ...) by the basis-change matrix M of monomial images.  M
+    times that matrix is M shifted one column right, column k scaled by
+    k and column 0 zero, formed without a product just as
+    ``pseudo_inverse`` forms V J^T.  Intended as a cross-check at small
+    dimensions; the inversion makes it far more expensive than the
+    direct constructors.
     """
     M = monomial_images(basis)
-    dim, field = M.rows, M.field
-    zero, one = zero_of(field), one_of(field)
-    d_mono = DenseMatrix(dim, dim, [(j * one if j == i + 1 else zero)
-                                    for i in range(dim) for j in range(dim)], field)
-    return M * d_mono * invert_matrix(M)
+    n, zero = M.rows, zero_of(M.field)
+    MD = DenseMatrix(n, n, [k * e for i in range(n)
+                            for k, e in enumerate((zero,) + M.row(i)[:-1])], M.field)
+    return MD * invert_matrix(M)

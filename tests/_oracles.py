@@ -174,3 +174,34 @@ def diff_matrix_by_data(polys, nodes, confluencies):
     return [[poly_shifted_eval(ders[k], Fraction(nodes[l]), m)
              for k in range(len(polys))]
             for (l, m) in slots]
+
+
+# ---------------------------------------------------------- scalar text
+
+def parse_complex(s):
+    """The complex scalar grammar written out by hand: "a+bi", "bi", "i", "-i", "a".
+
+    It splits the token at its last sign that is neither leading nor part
+    of an exponent and reads each side with ``float``.  Only ASCII spaces
+    are removed inside the token; ``float`` strips any whitespace at the
+    ends of each side.
+    """
+    t = s.strip().replace(" ", "")
+    if not t:
+        raise ValueError("empty complex literal")
+    if t[-1] not in "iI":
+        return complex(float(t), 0.0)
+    body = t[:-1]
+    for k in range(len(body) - 1, 0, -1):
+        if body[k] in "+-" and body[k - 1] not in "eE":
+            re_part, im_part = body[:k], body[k:]
+            break
+    else:
+        re_part, im_part = "", body
+    if im_part in ("", "+"):
+        im = 1.0
+    elif im_part == "-":
+        im = -1.0
+    else:
+        im = float(im_part)
+    return complex(float(re_part) if re_part else 0.0, im)

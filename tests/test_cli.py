@@ -69,12 +69,18 @@ from polydiff.structure import (
     ("1e-3+2e-4i", 1e-3 + 2e-4j),
     ("1.5E2-1e-2I", 150 - 0.01j),
     (" 1 + 2i ", 1 + 2j),
+    # a tab or a no-break space inside a token is ignored like a space
+    ("1\t+ 2i", 1 + 2j),
+    ("1\xa0+\xa02i", 1 + 2j),
+    ("1 0\t0", 100 + 0j),
+    ("\xa01e-3\t-\ti\t", 1e-3 - 1j),
 ])
 def test_parse_complex(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "1+", "abc", "1+2j", "--i"])
+@pytest.mark.parametrize("text", ["", "1+", "abc", "1+2j", "--i",
+                                  "2J", "j", "(1+2i)", "(3)", "(1)+2i"])
 def test_parse_complex_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_complex(text)
@@ -139,10 +145,14 @@ def test_read_values_errors(tmp_path):
         _read_values(" , ")
 
 
-def test_parse_int_list():
+def test_parse_int_list(tmp_path):
     assert parse_int_list("3,5,8") == [3, 5, 8]
     with pytest.raises(UsageError):
         parse_int_list("3,x")
+    # a UsageError is a ValueError; the token reader's own message passes through
+    assert issubclass(UsageError, ValueError)
+    with pytest.raises(UsageError, match="cannot read"):
+        parse_int_list(f"@{tmp_path}/missing.txt")
 
 
 def test_absorb_negative_values():
@@ -407,6 +417,8 @@ def test_usage_errors_exit_2(capsys, argv):
     # exact results whose integers pass Python's integer-to-text digit limit
     ["matrix", "--basis", "lagrange", "--nodes", "0,1e-2200,1"],
     ["weights", "--nodes", "0,1e-2200,1"],
+    # an exact node written with more digits than Python turns into an integer
+    ["weights", "--nodes", "0,1" + "0" * 4400],
 ])
 def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -416,6 +428,13 @@ def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in err
     # the message speaks of the package, not of the interpreter's settings
     assert "set_int_max_str_digits" not in err
+    # it echoes at most 40 characters of a value, and names the digit limit
+    # when a value passes it
+    values = [v for arg in argv for v in arg.split(",")]
+    assert not any(v[:41] in err for v in values if len(v) > 40)
+    limit = sys.get_int_max_str_digits()
+    if any(len(v) > limit for v in values):
+        assert f"more than {limit} digits" in err
 
 
 def test_finite_output_with_overflowing_sum_exits_0(capsys):

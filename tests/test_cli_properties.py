@@ -1,7 +1,8 @@
-"""Property test of the CLI's error contract over generated argv.
+"""Property tests of the CLI over generated input.
 
 Every request exits 0 or 2 without an uncaught exception, and a request
-that exits 0 prints only finite numbers.
+that exits 0 prints only finite numbers.  The complex scalar parser
+reads every token as the hand-written reference grammar does.
 """
 
 import cmath
@@ -13,6 +14,8 @@ import pytest
 
 from polydiff.cli import main, parse_complex
 from polydiff.families import FAMILIES
+
+import _oracles as orc
 
 # subnormal, near-overflow and mixed-scale values, spelled for each field
 REALS = ("0", "1", "-1", "0.5", "5e-324", "1e-320", "-2e-310",
@@ -84,5 +87,47 @@ def test_cli_exit_codes_and_finite_output():
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert all(map(cmath.isfinite, _unparsed_as_rational(out.getvalue()))), argv
+
+    check()
+
+
+# ASCII and other decimal digits, and every character the grammar gives a role
+TOKEN_PIECES = tuple("0123456789") + ("\u0663", "\uff15", "\u0967", "\u07c1") + tuple(
+    ".eE+-iIjJ()_ ") + ("inf", "nan")
+# the same characters in the shape sign, number, sign, number, unit
+SIGNS = ("", "+", "-")
+NUMBERS = ("", "", "0", "2.5", ".5", "1e3", "4E-2", "1_0", "\u0663", "\uff15.\u0967e1",
+           "inf", "nan", "1e", "_1")
+UNITS = ("", "i", "I", "j", "J", ")")
+
+
+def _outcome(parse, token):
+    try:
+        return repr(parse(token))
+    except ValueError:
+        return "ValueError"
+
+
+def test_complex_parser_matches_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tokens(draw):
+        if draw(st.integers(0, 2)) == 0:
+            pieces = draw(st.lists(st.sampled_from(TOKEN_PIECES), max_size=10))
+        else:
+            pieces = [draw(st.sampled_from(choices))
+                      for choices in (SIGNS, NUMBERS, SIGNS, NUMBERS, UNITS)]
+            if draw(st.integers(0, 9)) == 0:
+                pieces.insert(0, "(")
+        for _ in range(draw(st.integers(0, 2))):
+            pieces.insert(draw(st.integers(0, len(pieces))), " ")
+        return "".join(pieces)
+
+    @hypothesis.settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(tokens())
+    def check(token):
+        assert _outcome(parse_complex, token) == _outcome(orc.parse_complex, token), token
 
     check()

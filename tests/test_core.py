@@ -293,3 +293,8 @@ def test_approx_equal_scales_by_magnitude():
     A = DenseMatrix.from_rows([[1.0]])
     assert approx_equal(A, DenseMatrix.from_rows([[1.0 + 1e-12]]))
     assert not approx_equal(A, DenseMatrix.zeros(2, 1))
+    # two rational matrices compare exactly, a rational and a float one within tol
+    R = DenseMatrix.from_rows([[Fraction(1), Fraction(-2, 3)]])
+    assert not approx_equal(R, DenseMatrix.from_rows([[1 + Fraction(1, 10 ** 30), Fraction(-2, 3)]]))
+    assert approx_equal(R, DenseMatrix.from_rows([[1.0 + 1e-12, -2 / 3]]))
+    assert approx_equal(DenseMatrix.from_rows([[1.0 + 1e-12, -2 / 3]]), R)

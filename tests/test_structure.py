@@ -19,6 +19,7 @@ from polydiff.core import (
     vec_inf_norm,
 )
 from polydiff.degree_graded import (
+    RecurrenceSpec,
     chebyshev_antideriv_matrix,
     chebyshev_basis,
     chebyshev_diff_matrix,
@@ -27,6 +28,7 @@ from polydiff.degree_graded import (
     monomial_basis,
     newton_basis,
 )
+from polydiff.families import FAMILIES
 from polydiff.hermite import diff_matrix_hermite
 from polydiff.lagrange import diff_matrix_lagrange
 from polydiff.structure import (
@@ -142,6 +144,41 @@ def test_invert_matrix_exact_roundtrip():
     except SingularMatrixError:
         pytest.skip("random matrix happened to be singular")
     assert M * Minv == DenseMatrix.identity(4)
+
+
+def _rational_instance(name, dim, rng):
+    """A rational instance of family ``name`` with dimension ``dim``."""
+    def rationals(count):
+        out = []
+        while len(out) < count:
+            q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+            if q not in out:
+                out.append(q)
+        return out
+
+    arg = FAMILIES[name].arg
+    if arg == "degree":
+        return dim - 1
+    if arg == "recurrence":
+        return RecurrenceSpec(rationals(dim - 1), rationals(dim - 1), rationals(dim - 1)), dim - 1
+    count = rng.randint(1, dim) if name == "hermite" else dim
+    conf = [1] * count
+    for _ in range(dim - count):
+        conf[rng.randrange(count)] += 1
+    return NodeSet(rationals(count), conf)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_v_times_its_inverse_is_the_identity(name):
+    rng = random.Random(name)
+    for dim in range(1, 7):
+        for _ in range(3):
+            basis = FAMILIES[name].basis(_rational_instance(name, dim, rng))
+            V = build_V(monomial_images(basis))
+            assert V.field is Field.RATIONAL and (V.rows, V.cols) == (dim, dim)
+            Vi = invert_matrix(V)
+            eye = DenseMatrix.identity(dim)
+            assert V * Vi == eye and Vi * V == eye, (name, dim)
 
 
 def test_invert_matrix_rejects_singular_and_nonsquare():
