@@ -171,7 +171,7 @@ def cmd_matrix(args) -> int:
                              "the node list fixes the dimension")
         if args.nodes is None:
             raise UsageError(f"--basis {basis} requires --nodes")
-    if family.arg != "recurrence" and (args.alpha or args.beta or args.gamma):
+    if family.arg != "recurrence" and (args.alpha, args.beta, args.gamma) != (None, None, None):
         raise UsageError("--alpha/--beta/--gamma apply to --basis recurrence only")
     if family.arg == "degree" and args.degree is None:
         raise UsageError(f"--basis {basis} requires --degree")

@@ -190,28 +190,26 @@ def chebyshev_antideriv_matrix(n: int) -> DenseMatrix:
     with the free constant fixed by zeroing the T_0 slot of the output.
     The matrix is tridiagonal with zero main diagonal: integrating T_k
     gives T_{k+1} / (2(k+1)) - T_{k-1} / (2(k-1)) for k >= 2, T_2 / 4
-    for k = 1, and T_1 for k = 0.
+    for k = 1, and T_1 for k = 0; T_{n+1}, outside the space, is dropped.
     """
-    if n < 1:
-        raise ValueError("need degree at least 1")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     D = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    D[1][0] = Fraction(1)
-    for k in range(1, n + 1):
-        if k + 1 <= n:
-            D[k + 1][k] = Fraction(1, 2 * (k + 1))
-        if k >= 2:
-            D[k - 1][k] = Fraction(-1, 2 * (k - 1))
+    for k in range(n):
+        D[k + 1][k] = Fraction(1, 2 * (k + 1)) if k else Fraction(1)
+    for k in range(2, n + 1):
+        D[k - 1][k] = Fraction(-1, 2 * (k - 1))
     return DenseMatrix.from_rows(D, Field.RATIONAL)
 
 
 def legendre_antideriv_matrix(n: int) -> DenseMatrix:
     """Antidifferentiation companion in the Legendre basis.
 
-    Integrating P_k gives (P_{k+1} - P_{k-1}) / (2k + 1); the P_0 slot of
-    the output (the free constant) is zeroed by convention.
+    Integrating P_k gives (P_{k+1} - P_{k-1}) / (2k + 1), with P_{n+1} dropped;
+    the P_0 slot of the output (the free constant) is zeroed by convention.
     """
-    if n < 1:
-        raise ValueError("need degree at least 1")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     D = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     for r in range(1, n + 1):
         D[r][r - 1] = Fraction(1, 2 * r - 1)

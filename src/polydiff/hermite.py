@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import add, mul
+from typing import NamedTuple
 
 from .core import (
     DenseMatrix,
@@ -46,31 +47,21 @@ from .core import (
 from .series import series_reciprocal
 
 
-class GenBaryWeights:
+class GenBaryWeights(NamedTuple):
     """Generalized barycentric weights, one ragged row per node.
 
     ``weights[i][j]`` stores b_{i,j} for 0 <= j < s_i.
     """
 
-    __slots__ = ("nodes", "weights")
-
-    def __init__(self, nodes: NodeSet, weights):
-        self.nodes = nodes
-        self.weights = tuple(tuple(row) for row in weights)
-
-    def __repr__(self):
-        return f"GenBaryWeights({len(self.weights)} nodes)"
+    nodes: NodeSet
+    weights: tuple
 
 
 def node_polynomial_value(nodes, z):
-    """w(z) = prod (z - t_k)^(s_k), multiplied out left to right."""
+    """w(z) = prod (z - t_k)^(s_k), multiplied out one factor at a time, left to right."""
     nodes = as_node_set(nodes)
-    return _node_product([z - t for t in nodes.nodes], nodes.confluencies)
-
-
-def _node_product(diffs, confluencies):
-    """prod diffs[k]^(s_k), one factor at a time, left to right."""
-    return reduce(mul, chain.from_iterable(map(repeat, diffs, confluencies)))
+    diffs = [z - t for t in nodes.nodes]
+    return reduce(mul, chain.from_iterable(map(repeat, diffs, nodes.confluencies)))
 
 
 def _next_column(q, prev_and_c):
@@ -110,8 +101,8 @@ def _weights_from_series(nodes: NodeSet, local) -> GenBaryWeights:
             raise ArithmeticError(f"the node product g_{i}(t_{i}) = {g[0]!r} "
                                   "is outside the floating-point range")
         h = series_reciprocal(g, si - 1)
-        rows.append([h[si - 1 - j] for j in range(si)])
-    return GenBaryWeights(nodes, rows)
+        rows.append(tuple(h[si - 1 - j] for j in range(si)))
+    return GenBaryWeights(nodes, tuple(rows))
 
 
 def gen_bary_weights(nodes) -> GenBaryWeights:
@@ -123,6 +114,22 @@ def gen_bary_weights(nodes) -> GenBaryWeights:
     """
     nodes = as_node_set(nodes)
     return _weights_from_series(nodes, _local_series(nodes, 0))
+
+
+def _pole_sum(w: GenBaryWeights, data, z):
+    """sum_{i, k <= j} b_{i,j} d_{i,k} / (z - t_i)^(j+1-k) in O(dim): per node, Horner in
+    u = 1/(z - t_i), P_0 = d_{i,0} and P_j = u P_{j-1} + d_{i,j}, gives the
+    share u sum_j b_{i,j} P_j; shares are added left to right."""
+    shares = []
+    for t, row, o in zip(w.nodes.nodes, w.weights, w.nodes.offsets):
+        u = 1 / (z - t)
+        p = data[o]
+        local = row[0] * p
+        for j in range(1, len(row)):
+            p = p * u + data[o + j]
+            local += row[j] * p
+        shares.append(local * u)
+    return reduce(add, shares)
 
 
 def hermite_eval(w: GenBaryWeights, data, z):
@@ -138,17 +145,7 @@ def hermite_eval(w: GenBaryWeights, data, z):
         raise ValueError(f"expected {nodes.dimension} data entries, got {len(data)}")
     if z in nodes.nodes:
         return data[nodes.offsets[nodes.nodes.index(z)]]
-    diffs = [z - t for t in nodes.nodes]
-    total = None
-    for x, row, o in zip(diffs, w.weights, nodes.offsets):
-        inv = 1 / x
-        local = None
-        for j, bij in enumerate(row):
-            for k in range(j + 1):
-                term = bij * data[o + k] * inv ** (j + 1 - k)
-                local = term if local is None else local + term
-        total = local if total is None else total + local
-    return _node_product(diffs, nodes.confluencies) * total
+    return node_polynomial_value(nodes, z) * _pole_sum(w, data, z)
 
 
 def monomial_data(nodes, k: int) -> tuple:

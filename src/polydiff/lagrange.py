@@ -10,7 +10,14 @@ barycentric form.
 from __future__ import annotations
 
 from .core import DenseMatrix, Field, NodeSet, as_node_set, zero_of
-from .hermite import GenBaryWeights, diff_matrix_hermite, gen_bary_weights, hermite_eval
+from .hermite import (
+    GenBaryWeights,
+    _pole_sum,
+    constant_data,
+    diff_matrix_hermite,
+    gen_bary_weights,
+    hermite_eval,
+)
 
 
 def _simple_nodes(nodes) -> NodeSet:
@@ -35,18 +42,13 @@ def eval_first_form(w: GenBaryWeights, values, z):
 
 
 def eval_second_form(w: GenBaryWeights, values, z):
-    """Second barycentric form, the ratio of the two weighted sums."""
-    ts = _simple_nodes(w.nodes).nodes
+    """Second barycentric form: the pole sum over the values divided by the
+    pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's."""
+    nodes = _simple_nodes(w.nodes)
     values = tuple(values)
-    if len(values) != len(ts):
-        raise ValueError("one value per node required")
-    for k, t in enumerate(ts):
-        if z == t:
-            return values[k]
-    bs = [row[0] for row in w.weights]
-    num = sum(b * v / (z - t) for b, v, t in zip(bs, values, ts))
-    den = sum(b / (z - t) for b, t in zip(bs, ts))
-    return num / den
+    if len(values) != nodes.dimension or z in nodes.nodes:
+        return hermite_eval(w, values, z)
+    return _pole_sum(w, values, z) / _pole_sum(w, constant_data(nodes), z)
 
 
 def diff_matrix_lagrange(nodes) -> DenseMatrix:

@@ -176,6 +176,50 @@ def diff_matrix_by_data(polys, nodes, confluencies):
             for (l, m) in slots]
 
 
+# ---------------------------------------------------------- barycentric forms
+# The package's former evaluation loops, kept operation for operation as
+# references: the package now runs one recurrence for both forms.
+
+def first_form_by_powers(w, data, z):
+    """Confluent first form, one term b_ij d_ik (z - t_i)^-(j+1-k) at a time.
+
+    Terms are formed as b_ij * d_ik * (1/(z - t_i)) ** (j+1-k) and added
+    in (i, j, k) order; the node product multiplies out left to right.
+    """
+    nodes = w.nodes
+    data = tuple(data)
+    if z in nodes.nodes:
+        return data[nodes.offsets[nodes.nodes.index(z)]]
+    diffs = [z - t for t in nodes.nodes]
+    total = None
+    for x, row, o in zip(diffs, w.weights, nodes.offsets):
+        inv = 1 / x
+        local = None
+        for j, bij in enumerate(row):
+            for k in range(j + 1):
+                term = bij * data[o + k] * inv ** (j + 1 - k)
+                local = term if local is None else local + term
+        total = local if total is None else total + local
+    product = None
+    for x, s in zip(diffs, nodes.confluencies):
+        for _ in range(s):
+            product = x if product is None else product * x
+    return product * total
+
+
+def second_form_by_sums(w, values, z):
+    """Second form at simple nodes, sum b v / (z - t) over sum b / (z - t)."""
+    ts = w.nodes.nodes
+    values = tuple(values)
+    for k, t in enumerate(ts):
+        if z == t:
+            return values[k]
+    bs = [row[0] for row in w.weights]
+    num = sum(b * v / (z - t) for b, v, t in zip(bs, values, ts))
+    den = sum(b / (z - t) for b, t in zip(bs, ts))
+    return num / den
+
+
 # ---------------------------------------------------------- scalar text
 
 def parse_complex(s):

@@ -324,17 +324,25 @@ def _hermite_error_ceiling(n, s):
 
     For the constant's data, ``hermite_eval`` computes the left side in
     double precision from float weights b_ij (1 + d_ij), |d_ij| <= eps_w;
-    the entries with k > 0 are exact zeros.  Counting roundings in the
+    the entries with k > 0 are exact zeros.  Per node it runs Horner in
+    u_i = 1/(z - t_i): P_0 = 1, P_j = P_{j-1} u_i + 0 = u_i^j, and the
+    node's share is u_i sum_j b_ij P_j.  Counting roundings in the
     standard model (Higham 2004, ch. 3; each factor (1 + theta_k) with
-    |theta_k| <= gamma_k = k u / (1 - k u), u = 2^-53):
+    |theta_k| <= gamma_k = k u / (1 - k u), u = 2^-53), for the term
+    b_ij u_i^(j+1) with j = s - 1, the most rounded one:
       - w(z): dim subtractions z - t_i and dim - 1 products, 2 dim - 1;
-      - one term: z - t_i, 1/(z - t_i), its power q <= s (pow within
-        one ulp, two units), times b_ij (the data factor is 1.0, exact),
-        so 2 q + 3 <= 2 s + 3;
-      - summing the dim nonzero terms in any order: dim - 1;
+      - u_i: z - t_i and the division, 2, entering j + 1 times: 2 s;
+      - P_j: j - 1 products (P_1 = 1.0 u_i is exact), s - 2 at most;
+      - b_ij P_j: 1;
+      - the node's sum over j: s - 1 additions;
+      - the node's sum times u_i: 1;
+      - adding the n + 1 node shares left to right: n;
       - w(z) times the sum: 1 (the weights' scale is the integer 1).
-    Each term thus carries a factor (1 + theta_K), K = 3 dim + 2 s + 2,
-    and subtracting the identity above leaves
+    That is 2 dim + n + 4 s - 1 (402 at n = 55, s = 3), and a term with
+    j < s - 1 passes fewer.  Since gamma_k grows with k, each term
+    carries a factor (1 + theta_K) for any larger K; the test keeps
+    K = 3 dim + 2 s + 2 (512 there), a count for forming each term
+    through an integer power, and subtracting the identity above leaves
 
         |p(z) - 1| <= (eps_w + gamma_K + eps_w gamma_K) Lambda(z),
         Lambda(z) = |w(z)| sum_ij |b_ij| |z - t_i|^-(j+1),

@@ -256,6 +256,12 @@ def test_matrix_pinv_chebyshev_is_antideriv(capsys):
                    "0,0,1/6,0\n")
 
 
+@pytest.mark.parametrize("basis", ["chebyshev", "legendre"])
+def test_matrix_pinv_degree_zero(capsys, basis):
+    code, out, err = run_cli(capsys, ["matrix", "--basis", basis, "--degree", "0", "--pinv"])
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_matrix_pinv_monomial(capsys):
     code, out, err = run_cli(capsys, [
         "matrix", "--basis", "monomial", "--degree", "3", "--pinv"])
@@ -391,6 +397,9 @@ def test_matrix_looks_up_constructor_at_call_time(monkeypatch, capsys):
     ["experiment", "--which", "hermite-norms", "--confluency", "0"],
     ["experiment", "--which", "lagrange-error", "--confluency", "2"],
     ["experiment", "--which", "hermite-norms", "--n", "3,x"],
+    ["matrix", "--basis", "monomial", "--degree", "2", "--alpha="],
+    ["matrix", "--basis", "bernstein", "--degree", "2", "--beta="],
+    ["matrix", "--basis", "lagrange", "--nodes", "0,1", "--gamma="],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)

@@ -111,6 +111,14 @@ def test_legendre_antideriv_then_diff_recovers():
         assert list(back)[1:] == list(c)[1:]
 
 
+@pytest.mark.parametrize("antideriv", [chebyshev_antideriv_matrix, legendre_antideriv_matrix])
+def test_antideriv_at_degree_zero_drops_the_only_term(antideriv):
+    # integrating T_0 = P_0 gives degree 1, outside the space, as T_{n+1} is at every n
+    assert antideriv(0) == DenseMatrix.from_rows([[0]])
+    with pytest.raises(ValueError):
+        antideriv(-1)
+
+
 # ---------------------------------------------------------------- newton
 
 def nex_matrix(z):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from polydiff.core import DenseMatrix, HermiteBasis, NodeSet, mat_apply
+from polydiff.experiments import chebyshev_points
 from polydiff.hermite import (
     constant_data,
     diff_matrix_hermite,
@@ -99,6 +100,40 @@ def test_eval_hits_nodes():
     assert hermite_eval(w, [3, 9, -5, 4], 1) == -5
     with pytest.raises(ValueError):
         hermite_eval(w, [1, 2, 3], 0.5)
+
+
+def test_eval_equals_former_first_form_on_rational_data():
+    rng = random.Random(41)
+    for _ in range(6):
+        ns = random_confluent_nodes(rng, max_dim=9)
+        w = gen_bary_weights(ns)
+        data = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ns.dimension)]
+        for z in (Fraction(9, 2), Fraction(-7, 3), Fraction(31, 4)):
+            assert hermite_eval(w, data, z) == orc.first_form_by_powers(w, data, z)
+
+
+def test_eval_at_confluency_one_is_former_first_form_bit_for_bit():
+    # at s = 1 the recurrence does the same float operations in the same order
+    rng = random.Random(5)
+    for n in (1, 2, 5, 13, 34, 55):
+        w = gen_bary_weights(NodeSet(chebyshev_points(n)))
+        data = [rng.uniform(-2, 2) for _ in range(n + 1)]
+        for _ in range(25):
+            z = rng.uniform(-1, 1)
+            assert repr(hermite_eval(w, data, z)) == repr(orc.first_form_by_powers(w, data, z))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_confluent_eval_stays_near_former_first_form(s):
+    rng = random.Random(s)
+    for n in (2, 13, 55):
+        w = gen_bary_weights(NodeSet(chebyshev_points(n), [s] * (n + 1)))
+        data = [rng.uniform(-2, 2) for _ in range(w.nodes.dimension)]
+        for _ in range(25):
+            z = rng.uniform(-1, 1)
+            a = hermite_eval(w, data, z)
+            b = orc.first_form_by_powers(w, data, z)
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(a), abs(b))
 
 
 def test_basis_elements_match_cardinal_polynomials():

@@ -100,6 +100,23 @@ def test_forms_agree_in_floating_point():
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a), abs(b))
 
 
+def test_second_form_matches_former_sums():
+    rng = random.Random(12)
+    ts = [Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(2), Fraction(7, 4)]
+    w = bary_weights(NodeSet(ts))
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in ts]
+    for z in (Fraction(1, 7), Fraction(-8, 3), Fraction(12), Fraction(2)):
+        assert eval_second_form(w, values, z) == orc.second_form_by_sums(w, values, z)
+    for n in (1, 5, 34, 55, 165):
+        w = bary_weights(NodeSet(chebyshev_points(n)))
+        values = [rng.uniform(-2, 2) for _ in range(n + 1)]
+        for _ in range(25):
+            z = rng.uniform(-1, 1)
+            a = eval_second_form(w, values, z)
+            b = orc.second_form_by_sums(w, values, z)
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(a), abs(b))
+
+
 # ---------------------------------------------------------------- matrices
 
 def test_four_node_reference_matrix():
