@@ -16,6 +16,8 @@ basis-change matrix M whose columns are the monomial images x^k.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from operator import mul
 
 from .core import (
     BernsteinBasis,
@@ -24,6 +26,7 @@ from .core import (
     Field,
     HermiteBasis,
     SingularMatrixError,
+    _integer_scaled,
     approx_equal,
     one_of,
     zero_of,
@@ -69,15 +72,18 @@ def jordan_block(dim: int, field: Field = Field.RATIONAL) -> DenseMatrix:
 def invert_matrix(M: DenseMatrix) -> DenseMatrix:
     """Inverse by Gauss-Jordan elimination.
 
-    Exact over rationals (first nonzero pivot); partial pivoting by
-    magnitude over floating fields.
+    Floating fields pivot by magnitude.  Rationals take the first nonzero
+    pivot on integer rows A = diag(L) M, step r <- (p/g) r - (f/g) r_pivot
+    with g = gcd(p, f), divide each new row by its content, and finish
+    with M^(-1) = A^(-1) diag(L).
     """
     if M.rows != M.cols:
         raise ValueError("only square matrices invert")
     n = M.rows
-    eye = DenseMatrix.identity(n, M.field)
-    a = [list(M.row(i)) + list(eye.row(i)) for i in range(n)]
     exact = M.field is Field.RATIONAL
+    one, zero = (1, 0) if exact else (one_of(M.field), zero_of(M.field))
+    scaled = [_integer_scaled(M.row(i)) if exact else (1, list(M.row(i))) for i in range(n)]
+    a = [row + [one if i == j else zero for j in range(n)] for i, (_, row) in enumerate(scaled)]
     for col in range(n):
         if exact:
             piv = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -88,11 +94,21 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
             raise SingularMatrixError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
         p = a[col][col]
-        a[col] = [x / p for x in a[col]]
+        if not exact:
+            a[col] = [x / p for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                if exact:
+                    pg, fg = p // (g := math.gcd(p, f)), f // g
+                    row = [pg * x - fg * y for x, y in zip(a[r], a[col])]
+                    content = math.gcd(*row)
+                    a[r] = [x // content for x in row]
+                else:
+                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if exact:
+        return DenseMatrix(n, n, [Fraction(row[n + j] * L, row[i]) for i, row in enumerate(a)
+                                  for j, (L, _) in enumerate(scaled)], Field.RATIONAL)
     return DenseMatrix.from_rows([row[n:] for row in a], M.field)
 
 
@@ -126,17 +142,20 @@ def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-
 
 
 def nilpotency_index(D: DenseMatrix) -> int:
-    """Smallest k with D^k = 0; requires the exact rational field."""
+    """Smallest k with D^k = 0, over integers; requires the exact rational field."""
     if D.rows != D.cols:
         raise ValueError("nilpotency is a property of square matrices")
     if D.field is not Field.RATIONAL:
         raise ValueError("nilpotency index needs the exact rational field")
-    zero = DenseMatrix.zeros(D.rows, D.cols)
-    P = DenseMatrix.identity(D.rows)
-    for k in range(D.rows + 1):
-        if P == zero:
+    n, (_, a) = D.rows, _integer_scaled(D.entries)
+    cols = [a[j::n] for j in range(n)]
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n + 1):
+        # dividing a power by its content does not change whether it is zero
+        content = math.gcd(*(x for row in P for x in row))
+        if content == 0:
             return k
-        P = P * D
+        P = [[sum(map(mul, row, col)) // content for col in cols] for row in P]
     raise ArithmeticError("matrix is not nilpotent within its dimension")
 
 
@@ -147,9 +166,7 @@ def conjugation_oracle(basis) -> DenseMatrix:
     1, 2, 3, ...) by the basis-change matrix M of monomial images.  M
     times that matrix is M shifted one column right, column k scaled by
     k and column 0 zero, formed without a product just as
-    ``pseudo_inverse`` forms V J^T.  Intended as a cross-check at small
-    dimensions; the inversion makes it far more expensive than the
-    direct constructors.
+    ``pseudo_inverse`` forms V J^T.  Its cost is mostly inverting M.
     """
     M = monomial_images(basis)
     n, zero = M.rows, zero_of(M.field)

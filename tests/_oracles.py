@@ -12,6 +12,8 @@ is meaningful evidence.
 from fractions import Fraction
 from math import comb
 
+from polydiff.core import SingularMatrixError
+
 
 # ---------------------------------------------------------- polynomials
 # a polynomial is a list of Fractions, index = power of x
@@ -89,6 +91,31 @@ def solve_exact(A, bs):
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
     return [[M[r][n + k] for r in range(n)] for k in range(len(bs))]
+
+
+def gauss_jordan_inverse(rows):
+    """The package's former exact inverse, kept step for step as a reference.
+
+    Gauss-Jordan on [A | I] over Fractions with the first nonzero pivot:
+    the pivot row is divided by its pivot and every other row loses its
+    multiple of it.  Takes and returns lists of rows; raises the
+    package's ``SingularMatrixError`` on a singular matrix.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------- basis elements

@@ -135,15 +135,79 @@ def test_jordan_block_inverse_pair():
 # ---------------------------------------------------------------- inversion
 
 def test_invert_matrix_exact_roundtrip():
-    rng = random.Random(13)
-    M = DenseMatrix.from_rows(
-        [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
-         for _ in range(4)])
+    # a zero leading pivot forces a row swap; det = -763/216
+    M = DenseMatrix.from_rows([
+        [0, Fraction(1, 2), -3, Fraction(2, 3)],
+        [Fraction(-5, 3), 1, 0, 4],
+        [Fraction(1, 3), Fraction(-2, 3), Fraction(5, 2), -1],
+        [2, 0, Fraction(-1, 2), Fraction(3, 2)],
+    ])
+    Minv = invert_matrix(M)
+    assert M * Minv == DenseMatrix.identity(4) == Minv * M
+
+
+def _random_exact_matrix(rng, dim):
+    """A random rational matrix of dimension ``dim``, with its kind.
+
+    Kinds: dense small fractions, sparse (zero pivots, often singular),
+    plain ints, large and negative denominators, a zero leading entry,
+    and a row made a combination of two others (singular).
+    """
+    kind = rng.choice(["dense", "sparse", "ints", "large", "zero-lead", "dependent"])
+    def entry():
+        if kind == "ints":
+            return rng.randint(-9, 9)
+        if kind == "large":
+            return Fraction(rng.randint(-10**12, 10**12), rng.choice([-1, 1]) * rng.randint(1, 10**15))
+        if kind == "sparse" and rng.random() < 0.6:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.choice([-1, 1]) * rng.randint(1, 9))
+    rows = [[entry() for _ in range(dim)] for _ in range(dim)]
+    if kind == "zero-lead" and dim:
+        rows[0][0] = 0
+    if kind == "dependent" and dim >= 3:
+        c, d = Fraction(rng.randint(-4, 4), rng.randint(1, 4)), rng.randint(-3, 3)
+        rows[-1] = [c * x + d * y for x, y in zip(rows[0], rows[1])]
+    return kind, rows
+
+
+def _inverts_as_reference(rows):
+    """Compare invert_matrix with the former Fraction Gauss-Jordan; True if singular."""
+    M = DenseMatrix.from_rows(rows)
     try:
-        Minv = invert_matrix(M)
+        want = orc.gauss_jordan_inverse(rows)
     except SingularMatrixError:
-        pytest.skip("random matrix happened to be singular")
-    assert M * Minv == DenseMatrix.identity(4)
+        with pytest.raises(SingularMatrixError):
+            invert_matrix(M)
+        return True
+    got = invert_matrix(M)
+    assert (got.rows, got.cols, got.field) == (M.rows, M.cols, Field.RATIONAL)
+    assert [(type(x), x) for x in got.entries] == [(type(y), y) for row in want for y in row]
+    return False
+
+
+def test_invert_matrix_matches_fraction_gauss_jordan():
+    rng = random.Random(10)
+    kinds, singular, swaps = set(), 0, 0
+    for _ in range(360):
+        kind, rows = _random_exact_matrix(rng, rng.randint(0, 8))
+        kinds.add(kind)
+        singular += _inverts_as_reference(rows)
+        swaps += bool(rows) and rows[0][0] == 0
+    assert len(kinds) == 6 and singular >= 40 and swaps >= 40, (kinds, singular, swaps)
+    # the monomial images of 41 equispaced nodes, the benchmark's largest inversion
+    M = monomial_images(LagrangeBasis(NodeSet([Fraction(k - 20, 20) for k in range(41)])))
+    assert not _inverts_as_reference(M.to_rows())
+
+
+def test_invert_matrix_small_exact_cases():
+    empty = invert_matrix(DenseMatrix(0, 0, ()))
+    assert (empty.rows, empty.cols, empty.field) == (0, 0, Field.RATIONAL)
+    for x, want in [(1, 1), (-1, -1), (5, Fraction(1, 5)), (Fraction(-3, 7), Fraction(-7, 3))]:
+        inv = invert_matrix(DenseMatrix.from_rows([[x]]))
+        assert inv.entries == (want,) and type(inv[0, 0]) is Fraction
+    with pytest.raises(SingularMatrixError):
+        invert_matrix(DenseMatrix.from_rows([[0]]))
 
 
 def _rational_instance(name, dim, rng):
@@ -193,6 +257,17 @@ def test_invert_matrix_float_pivoting():
     P = M * invert_matrix(M)
     assert abs(P[0, 0] - 1) < 1e-9 and abs(P[1, 1] - 1) < 1e-9
     assert abs(P[0, 1]) < 1e-9 and abs(P[1, 0]) < 1e-9
+
+
+def test_invert_matrix_complex_pivoting():
+    # the first nonzero pivot would leave errors near 1e-4 in M M^(-1)
+    M = DenseMatrix.from_rows([[1e-12 * (1 + 1j), 1 + 2j], [1 - 1j, 1 + 1j]])
+    Minv = invert_matrix(M)
+    assert Minv.field is Field.COMPLEX and all(type(e) is complex for e in Minv.entries)
+    P = M * Minv
+    for i in range(2):
+        for j in range(2):
+            assert abs(P[i, j] - (i == j)) < 1e-13
 
 
 # ---------------------------------------------------------------- similarity
@@ -273,6 +348,22 @@ def test_nilpotency_index_input_checks():
         nilpotency_index(DenseMatrix.zeros(2, 2, Field.REAL))
     with pytest.raises(ArithmeticError):
         nilpotency_index(DenseMatrix.identity(3))
+
+
+def test_nilpotency_index_small_cases():
+    F = Fraction
+    cases = [
+        (DenseMatrix(0, 0, ()), 0),
+        (DenseMatrix.zeros(3, 3), 1),
+        (DenseMatrix.from_rows([[0, F(1, 2), 0], [0, 0, 0], [0, 0, 0]]), 2),
+        (DenseMatrix.from_rows([[0, F(1, 3), 5], [0, 0, F(-2, 7)], [0, 0, 0]]), 3),
+        # u v^T with v.u = 0, u = (1, 2, 3) and v = (3, 0, -1) / 7: no triangular pattern
+        (DenseMatrix.from_rows([[F(3 * a, 7), 0, F(-a, 7)] for a in (1, 2, 3)]), 2),
+    ]
+    for D, want in cases:
+        assert nilpotency_index(D) == want
+    with pytest.raises(ArithmeticError):
+        nilpotency_index(DenseMatrix.from_rows([[0, F(1, 10**20)], [F(-1, 3), 0]]))
 
 
 # ---------------------------------------------------------------- oracle
