@@ -69,7 +69,8 @@ def format_scalar(x) -> str:
     if isinstance(x, float):
         return repr(x)
     try:
-        return str(Fraction(x))
+        # an exact entry is already a Fraction; only plain integers need one
+        return str(x if isinstance(x, Fraction) else Fraction(x))
     except ValueError as exc:
         # Python refuses to turn integers past its digit limit into text
         raise ValueError(f"exact result too long to print: a numerator or denominator "

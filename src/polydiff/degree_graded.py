@@ -14,6 +14,7 @@ slot (first row) by convention.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     DenseMatrix,
     Field,
     NodeSet,
+    _integer_scaled,
     all_finite,
     as_node_set,
     coerce_scalar,
@@ -133,18 +135,49 @@ def multiply_by_x(rec: RecurrenceSpec, coeffs) -> list:
     return out
 
 
+def _integer_rows(rec: RecurrenceSpec, n: int) -> list:
+    """Rows 0 .. n of Q as (integer numerators N_i, positive denominator e_i).
+
+    A, B, G are alpha, beta, gamma times L, the lcm of their denominators.
+    Row i combines rows i-1 and i-2 over c = lcm(e_{i-1}, e_{i-2}), with
+    diagonal i L c and denominator A_{i-1} c, then is divided by gcd(e_i, *N_i).
+    """
+    L, abg = _integer_scaled(rec.alpha[:n] + rec.beta[:n] + rec.gamma[:n])
+    A, B, G = abg[:n], abg[n:2 * n], abg[2 * n:]
+    rows = [([0] * (n + 2), 1)]
+    for i in range(1, n + 1):
+        (N1, e1), (N2, e2) = rows[i - 1], rows[max(i - 2, 0)]
+        c = math.lcm(e1, e2)
+        u, v = c // e1, c // e2 * G[i - 1]
+        N = [0] * (n + 2)
+        N[i] = i * L * c
+        for j in range(1, i):
+            # N1[0] = 0, so the A term vanishes at j = 1
+            acc = (B[j - 1] - B[i - 1]) * N1[j] + A[j - 2] * N1[j - 1] + G[j] * N1[j + 1]
+            N[j] = u * acc - v * N2[j]
+        e = A[i - 1] * c
+        k = math.gcd(e, *N) if e > 0 else -math.gcd(e, *N)
+        rows.append(([x // k for x in N], e // k))
+    return rows
+
+
 def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
     """Differentiation matrix of dimension n + 1 for a degree-graded basis.
 
     Column k holds the coefficients of phi_k' in phi_0 .. phi_n.  The
     entries are filled by a second-order recurrence in the coefficients
     of the multiplication-by-x rule; each entry costs O(1), so the whole
-    construction is O(n^2).
+    construction is O(n^2).  Rationals run the recurrence on integer
+    rows, see ``_integer_rows``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if len(rec) < n:
         raise ValueError(f"degree {n} needs {n} recurrence terms, got {len(rec)}")
+    if rec.field is Field.RATIONAL:
+        zero, rows = Fraction(0), _integer_rows(rec, n)
+        return DenseMatrix(n + 1, n + 1, [Fraction(rows[k][0][r + 1], rows[k][1]) if r < k else zero
+                                          for r in range(n + 1) for k in range(n + 1)], rec.field)
     a, b, g = rec.alpha, rec.beta, rec.gamma
     zero = zero_of(rec.field)
     # Q[i][j] = coefficient of phi_{j-1} in phi_i', for 1 <= j <= i <= n.

@@ -18,7 +18,7 @@ nontrivial rows of the differentiation matrix, that is in norm_Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import NodeSet, mat_apply, mat_inf_norm, vec_inf_norm
 from .hermite import constant_data, diff_matrix_hermite, gen_bary_weights, hermite_eval
@@ -31,8 +31,9 @@ EXPERIMENTS = ("hermite-norms", "hermite-error", "lagrange-error")
 NODE_FAMILIES = ("chebyshev", "equispaced")
 
 
-@dataclass
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
+    """One size of one experiment, unmeasured quantities None; compares as a tuple."""
+
     n: int
     node_family: str
     confluency: int

@@ -31,6 +31,7 @@ rationals.  At confluency 1 they are the barycentric weights
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add, mul
@@ -38,7 +39,9 @@ from typing import NamedTuple
 
 from .core import (
     DenseMatrix,
+    Field,
     NodeSet,
+    _integer_scaled,
     all_finite,
     as_node_set,
     one_of,
@@ -70,27 +73,40 @@ def _next_column(q, prev_and_c):
     return prev + c * q
 
 
-def _local_series(nodes: NodeSet, extra: int) -> list:
-    """Taylor coefficients of every g_i about its own node t_i.
+def _local_series(nodes: NodeSet, extra: int):
+    """Taylor coefficients of every g_i about its own node t_i: (L, ts, coefficients).
 
     Entry i lists the coefficients of u^0 .. u^(s_i - 1 + extra) with
     u = z - t_i, from multiplying in one linear factor (u + t_i - t_m)
     at a time.  Column t of that product is a running recurrence over
     the factors, g_0 <- g_0 c and g_t <- g_{t-1} + c g_t, so each
     coefficient is one scan over the previous coefficient's history.
+    Rational nodes run over the integers ts = T = L t instead, giving
+    h_i(v) = prod_{m != i} (T_i - T_m + v)^(s_m) = L^(dim - s_i) g_i(v / L).
     """
-    flat = nodes.flat_nodes()
-    one, zero = one_of(nodes.field), zero_of(nodes.field)
+    exact = nodes.field is Field.RATIONAL
+    L, ts = _integer_scaled(nodes.nodes) if exact else (1, nodes.nodes)
+    one, zero = (1, 0) if exact else (one_of(nodes.field), zero_of(nodes.field))
+    flat = list(chain.from_iterable(map(repeat, ts, nodes.confluencies)))
     out = []
-    for ti, si, oi in zip(nodes.nodes, nodes.confluencies, nodes.offsets):
-        factors = [ti - tm for tm in flat[:oi]] + [ti - tm for tm in flat[oi + si:]]
+    for ti, si, oi in zip(ts, nodes.confluencies, nodes.offsets):
+        factors = [ti - tm for tm in flat[:oi] + flat[oi + si:]]
         column = list(accumulate(factors, mul, initial=one))
         g = [column[-1]]
         for _ in range(si - 1 + extra):
             column = list(accumulate(zip(column, factors), _next_column, initial=zero))
             g.append(column[-1])
         out.append(g)
-    return out
+    return L, ts, out
+
+
+def _integer_reciprocal(h, si: int) -> list:
+    """R_0 .. R_(s_i - 1) with 1/h = sum_t R_t v^t / H^(t+1), H = h[0]:
+    R_0 = 1 and R_t = -sum_{r=1..t} h_r R_{t-r} H^(r-1), all integers."""
+    R = [1]
+    for t in range(1, si):
+        R.append(-sum(h[r] * R[t - r] * h[0] ** (r - 1) for r in range(1, t + 1)))
+    return R
 
 
 def _weights_from_series(nodes: NodeSet, local) -> GenBaryWeights:
@@ -110,10 +126,19 @@ def gen_bary_weights(nodes) -> GenBaryWeights:
 
     For node i, expand g_i = w(z) / (z - t_i)^(s_i) about t_i, invert
     the series to order s_i - 1, and read the weights in reverse:
-    b_{i, s_i-1-t} is the order-t reciprocal coefficient.
+    b_{i, s_i-1-t} is the order-t reciprocal coefficient.  Rational nodes
+    run over integers: b_{i, s_i-1-t} = L^(dim-s_i+t) R_t / H_i^(t+1).
     """
     nodes = as_node_set(nodes)
-    return _weights_from_series(nodes, _local_series(nodes, 0))
+    L, _, local = _local_series(nodes, 0)
+    if nodes.field is not Field.RATIONAL:
+        return _weights_from_series(nodes, local)
+    rows = []
+    for si, h in zip(nodes.confluencies, local):
+        R = _integer_reciprocal(h, si)
+        rows.append(tuple(Fraction(L ** (nodes.dimension - 1 - j) * R[si - 1 - j], h[0] ** (si - j))
+                          for j in range(si)))
+    return GenBaryWeights(nodes, tuple(rows))
 
 
 def _pole_sum(w: GenBaryWeights, data, z):
@@ -165,6 +190,30 @@ def constant_data(nodes) -> tuple:
     return monomial_data(nodes, 0)
 
 
+def _exact_row(L: int, T, series, confluencies, i: int) -> list:
+    """Row (i, s_i - 1) of the rational D: entry (l, m) is s_i L^(s_i - m) N / D.
+
+    With K = s_l - 1 - m and d = T_i - T_l, N = H_i sum_t R^(l)_t d^t H_l^(K-t)
+    and D = (H_l d)^(K+1) for l != i; N = sum_k R_(K-k) h_i[k+1] H_i^k and
+    D = H_i^(K+1) for l = i.  A negative power of L joins the denominator.
+    """
+    si, (hi, Ri) = confluencies[i], series[i]
+    row = []
+    for l, (sl, (hl, Rl)) in enumerate(zip(confluencies, series)):
+        if l == i:
+            nd = [(sum(Ri[K - k] * hi[k + 1] * hi[0] ** k for k in range(K + 1)), hi[0] ** (K + 1))
+                  for K in range(sl)]
+        else:
+            d, nd, N, D = T[i] - T[l], [], 0, 1
+            for K in range(sl):
+                N, D = N * hl[0] + Rl[K] * d ** K, D * hl[0] * d
+                nd.append((hi[0] * N, D))
+        for m, (N, D) in enumerate(reversed(nd)):
+            row.append(Fraction(si * N * L ** (si - m), D) if si >= m
+                       else Fraction(si * N, D * L ** (m - si)))
+    return row
+
+
 def diff_matrix_hermite(nodes) -> DenseMatrix:
     """Differentiation matrix on the scaled-derivative data layout.
 
@@ -177,21 +226,29 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
     and the coefficient k+1 of g_i for l = i, where the pole cancels
     against the node factor inside w.  At confluency 1 the entries are
     b_l g_i(t_i) / (t_i - t_l) off the diagonal and g_i'(t_i) / g_i(t_i)
-    on it.  Construction is O(dim^2) once the g_i are known.
+    on it.  Construction is O(dim^2) once the g_i are known.  Rational
+    nodes form each entry from integers as one Fraction, see ``_exact_row``.
     """
     nodes = as_node_set(nodes)
-    local = _local_series(nodes, 1)
-    w = _weights_from_series(nodes, local)
+    exact = nodes.field is Field.RATIONAL
+    L, T, local = _local_series(nodes, 1)
+    if exact:
+        series = [(h, _integer_reciprocal(h, s)) for h, s in zip(local, nodes.confluencies)]
+    else:
+        w = _weights_from_series(nodes, local)
+        columns = list(zip(nodes.nodes, nodes.confluencies, w.weights))
     dim = nodes.dimension
     one, zero = one_of(nodes.field), zero_of(nodes.field)
-    columns = list(zip(nodes.nodes, nodes.confluencies, w.weights))
     rows = []
-    for i, (ti, si, gi) in enumerate(zip(nodes.nodes, nodes.confluencies, local)):
-        oi = nodes.offsets[i]
+    for i, (ti, si, oi) in enumerate(zip(nodes.nodes, nodes.confluencies, nodes.offsets)):
         for j in range(1, si):
             row = [zero] * dim
             row[oi + j] = j * one
             rows.append(row)
+        if exact:
+            rows.append(_exact_row(L, T, series, nodes.confluencies, i))
+            continue
+        gi = local[i]
         g0 = gi[0]
         row = []
         for l, (tl, sl, wl) in enumerate(columns):

@@ -62,11 +62,17 @@ def build_V(M: DenseMatrix) -> DenseMatrix:
                        [c / f for r in range(M.rows) for c, f in zip(M.row(r), facts)])
 
 
+def _shift_columns(M: DenseMatrix, step: int) -> DenseMatrix:
+    """M J for step 1 and M J^T for step -1, without a product: M shifted
+    one column right or left, the vacated column zero."""
+    pad = (zero_of(M.field),)
+    return DenseMatrix(M.rows, M.cols, [e for i in range(M.rows) for e in (
+        pad + M.row(i)[:-1] if step > 0 else M.row(i)[1:] + pad)], M.field)
+
+
 def jordan_block(dim: int, field: Field = Field.RATIONAL) -> DenseMatrix:
-    """Single nilpotent Jordan block: ones on the superdiagonal."""
-    one, zero = one_of(field), zero_of(field)
-    return DenseMatrix(dim, dim, [one if j == i + 1 else zero
-                                  for i in range(dim) for j in range(dim)], field)
+    """Single nilpotent Jordan block: ones on the superdiagonal, I J."""
+    return _shift_columns(DenseMatrix.identity(dim, field), 1)
 
 
 def invert_matrix(M: DenseMatrix) -> DenseMatrix:
@@ -116,7 +122,7 @@ def jordan_check(D: DenseMatrix, V: DenseMatrix, tol: float = 1e-10) -> bool:
     """Does D V = V J hold (exactly over rationals, to tol otherwise)?"""
     if D.rows != D.cols or (V.rows, V.cols) != (D.rows, D.cols):
         raise ValueError("dimension mismatch")
-    return approx_equal(D * V, V * jordan_block(D.rows, D.field), tol)
+    return approx_equal(D * V, _shift_columns(V, 1), tol)
 
 
 def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
@@ -128,10 +134,7 @@ def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
     """
     if D.rows != D.cols or (V.rows, V.cols) != (D.rows, D.cols):
         raise ValueError("dimension mismatch")
-    # V J^T is V shifted one column left, with a zero last column
-    n, zero = V.rows, zero_of(V.field)
-    VJt = DenseMatrix(n, n, [e for i in range(n) for e in V.row(i)[1:] + (zero,)], V.field)
-    return VJt * invert_matrix(V)
+    return _shift_columns(V, -1) * invert_matrix(V)
 
 
 def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-10) -> bool:
@@ -141,22 +144,37 @@ def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-
     return approx_equal(D * Dp * D, D, tol) and approx_equal(Dp * D * Dp, Dp, tol)
 
 
+def _reduced_product(X, Y) -> list:
+    """X Y over integer rows, divided by its content; a zero product stays zero."""
+    cols = list(zip(*Y))
+    P = [[sum(map(mul, row, col)) for col in cols] for row in X]
+    content = math.gcd(*(x for row in P for x in row))
+    return [[x // content for x in row] for row in P] if content else P
+
+
 def nilpotency_index(D: DenseMatrix) -> int:
-    """Smallest k with D^k = 0, over integers; requires the exact rational field."""
+    """Smallest k with D^k = 0, over integers; requires the exact rational field.
+
+    Squares A = L D (A, A^2, A^4, ...) until a power vanishes, then builds
+    the largest nonzero power A^e from the stored squares, largest first:
+    O(log n) products, each divided by its content, which keeps zero zero.
+    """
     if D.rows != D.cols:
         raise ValueError("nilpotency is a property of square matrices")
     if D.field is not Field.RATIONAL:
         raise ValueError("nilpotency index needs the exact rational field")
     n, (_, a) = D.rows, _integer_scaled(D.entries)
-    cols = [a[j::n] for j in range(n)]
-    P = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n + 1):
-        # dividing a power by its content does not change whether it is zero
-        content = math.gcd(*(x for row in P for x in row))
-        if content == 0:
-            return k
-        P = [[sum(map(mul, row, col)) // content for col in cols] for row in P]
-    raise ArithmeticError("matrix is not nilpotent within its dimension")
+    squares = [[a[i * n:(i + 1) * n] for i in range(n)]]   # A^(2^j), each up to a factor
+    while any(map(any, squares[-1])):
+        if 2 ** (len(squares) - 1) >= n:
+            raise ArithmeticError("matrix is not nilpotent within its dimension")
+        squares.append(_reduced_product(squares[-1], squares[-1]))
+    X, e = None, 0   # X = A^e, None standing for A^0
+    for j in reversed(range(len(squares) - 1)):
+        Y = squares[j] if X is None else _reduced_product(X, squares[j])
+        if any(map(any, Y)):
+            X, e = Y, e + 2 ** j
+    return e + 1 if n else 0
 
 
 def conjugation_oracle(basis) -> DenseMatrix:
@@ -164,12 +182,10 @@ def conjugation_oracle(basis) -> DenseMatrix:
 
     Conjugates the monomial differentiation matrix (superdiagonal
     1, 2, 3, ...) by the basis-change matrix M of monomial images.  M
-    times that matrix is M shifted one column right, column k scaled by
-    k and column 0 zero, formed without a product just as
-    ``pseudo_inverse`` forms V J^T.  Its cost is mostly inverting M.
+    times that matrix is M J, M shifted one column right, with column k
+    scaled by k.  Its cost is mostly inverting M.
     """
     M = monomial_images(basis)
-    n, zero = M.rows, zero_of(M.field)
-    MD = DenseMatrix(n, n, [k * e for i in range(n)
-                            for k, e in enumerate((zero,) + M.row(i)[:-1])], M.field)
+    MJ, n = _shift_columns(M, 1), M.rows
+    MD = DenseMatrix(n, n, [k * e for i in range(n) for k, e in enumerate(MJ.row(i))], M.field)
     return MD * invert_matrix(M)

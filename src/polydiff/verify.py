@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bernstein, degree_graded, hermite, lagrange, structure
 from .experiments import chebyshev_points
@@ -30,8 +30,9 @@ _SEED = 20250825
 KNOWN_BASES = tuple(name for name in FAMILIES if name != "recurrence")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """Outcome of one check; compares as a tuple."""
+
     name: str
     basis: str
     ok: bool
@@ -262,7 +263,8 @@ def check_monomial_image_shifting():
 def check_jordan_similarity():
     for name, basis, D in _basis_instances(_rng(11)):
         V = structure.build_V(structure.monomial_images(basis))
-        if not structure.jordan_check(D, V):
+        # jordan_check shifts V's columns; the plain product with J must agree
+        if not structure.jordan_check(D, V) or D * V != V * structure.jordan_block(D.rows):
             return False, f"D V != V J in {name}"
     return True, "D V = V J in every family"
 

@@ -118,6 +118,102 @@ def gauss_jordan_inverse(rows):
     return [row[n:] for row in a]
 
 
+def nilpotency_index_by_powers(rows):
+    """The package's former nilpotency index: D^0, D^1, ..., D^n in turn.
+
+    Returns the first power that is zero and raises ``ArithmeticError``
+    when D^n is not, as the package does.
+    """
+    n = len(rows)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*rows))
+    for k in range(n + 1):
+        if not any(x for row in power for x in row):
+            return k
+        power = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
+                 for row in power]
+    raise ArithmeticError("matrix is not nilpotent within its dimension")
+
+
+# ---------------------------------------------------------- former constructors
+# The package's former exact constructors, one Fraction operation per
+# arithmetic step, kept as references: the package now runs them on
+# integer rows and forms one Fraction per entry.
+
+def degree_graded_by_fractions(alpha, beta, gamma, n):
+    """Rows of the degree-graded matrix from the second-order recurrence in Q.
+
+    Q[i][j] is the coefficient of phi_{j-1} in phi_i'; column k of the
+    matrix is row k of Q shifted down by one.  Floating coefficients run
+    the same operations in floating point.
+    """
+    zero = type(alpha[0])(0) if alpha else Fraction(0)
+    Q = [[zero] * (n + 2) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        Q[i][i] = i / alpha[i - 1]
+        for j in range(i - 1, 0, -1):
+            acc = (beta[j - 1] - beta[i - 1]) * Q[i - 1][j]
+            if j >= 2:
+                acc += alpha[j - 2] * Q[i - 1][j - 1]
+            acc += gamma[j] * Q[i - 1][j + 1]
+            if i >= 2:
+                acc -= gamma[i - 1] * Q[i - 2][j]
+            Q[i][j] = acc / alpha[i - 1]
+    return [[Q[k][r + 1] if r < k else zero for k in range(n + 1)] for r in range(n + 1)]
+
+
+def _local_series_by_fractions(nodes, confluencies, extra):
+    """Per node, u^0 .. u^(s_i - 1 + extra) of g_i(u) = prod_{m != i} (u + t_i - t_m)^(s_m)."""
+    nodes = [Fraction(t) for t in nodes]
+    out = []
+    for i, (ti, si) in enumerate(zip(nodes, confluencies)):
+        g = [Fraction(1)] + [Fraction(0)] * (si - 1 + extra)
+        for m, (tm, sm) in enumerate(zip(nodes, confluencies)):
+            for _ in range(sm if m != i else 0):
+                c = ti - tm
+                g = [c * g[0]] + [g[k - 1] + c * g[k] for k in range(1, len(g))]
+        out.append(g)
+    return out
+
+
+def _reciprocal_series(a, order):
+    """h = 1/a to the given order: h_0 = 1/a_0, h_t = -(sum_{r=1..t} a_r h_{t-r}) / a_0."""
+    h = [1 / a[0]]
+    for t in range(1, order + 1):
+        h.append(-sum(a[r] * h[t - r] for r in range(1, t + 1)) / a[0])
+    return h
+
+
+def gen_bary_weights_by_fractions(nodes, confluencies):
+    """b_{i, s_i-1-t} = coefficient t of 1/g_i about t_i, one ragged row per node."""
+    local = _local_series_by_fractions(nodes, confluencies, 0)
+    return [[_reciprocal_series(g, s - 1)[s - 1 - j] for j in range(s)]
+            for g, s in zip(local, confluencies)]
+
+
+def diff_matrix_hermite_by_fractions(nodes, confluencies):
+    """Rows of the confluent differentiation matrix from the weights and the g_i.
+
+    Shift rows (j+1) times slot (i, j+1) below order s_i - 1; row (i, s_i - 1)
+    holds s_i sum_k b_{l,m+k} c_k with c_k = g_i(t_i) / (t_i - t_l)^(k+1) for
+    l != i and c_k the coefficient k+1 of g_i for l = i.
+    """
+    nodes = [Fraction(t) for t in nodes]
+    local = _local_series_by_fractions(nodes, confluencies, 1)
+    weights = gen_bary_weights_by_fractions(nodes, confluencies)
+    dim, offset, rows = sum(confluencies), 0, []
+    for i, (ti, si, gi) in enumerate(zip(nodes, confluencies, local)):
+        for j in range(1, si):
+            rows.append([Fraction(j) if col == offset + j else Fraction(0) for col in range(dim)])
+        row = []
+        for l, (tl, sl, wl) in enumerate(zip(nodes, confluencies, weights)):
+            coeffs = gi[1:] if l == i else [gi[0] / (ti - tl) ** (k + 1) for k in range(sl)]
+            row += [si * sum(wl[m + k] * coeffs[k] for k in range(sl - m)) for m in range(sl)]
+        rows.append(row)
+        offset += si
+    return rows
+
+
 # ---------------------------------------------------------- basis elements
 
 def degree_graded_polys(alpha, beta, gamma, n):

@@ -1,0 +1,45 @@
+"""The benchmark's stored CLI request catalogue, replayed in process.
+
+``perfbench/refs/cli_catalogue.json`` holds 231 requests with their exit
+codes, and for each exact or rejected request the sha256 of its stdout.
+Replaying them here keeps every exact output byte-identical between
+benchmark runs.  The file is only read.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from polydiff.cli import main
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "cli_catalogue.json"
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects flags this way
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_catalogue_replays_with_the_stored_codes_and_digests(tmp_path):
+    catalogue = json.loads(CATALOGUE.read_text())
+    for name, text in catalogue["files"].items():
+        (tmp_path / name).write_text(text)
+    requests = catalogue["requests"]
+    assert len(requests) == 231
+    assert sum("sha256" in req["expect"] for req in requests) == 154
+    wrong = []
+    for req in requests:
+        argv = [f"@{tmp_path / tok[6:]}" if tok.startswith("@FILE:") else tok for tok in req["argv"]]
+        code, text = _run(argv)
+        want = req["expect"]
+        if code != want["code"] or (
+                "sha256" in want and hashlib.sha256(text.encode()).hexdigest() != want["sha256"]):
+            wrong.append(" ".join(req["argv"]))
+    assert wrong == []

@@ -254,3 +254,52 @@ def test_strict_upper_triangularity():
             for j in range(i + 1):
                 assert D[i, j] == 0
 
+
+
+# ---------------------------------------------------------------- integer rows
+
+def _typed(entries):
+    return [(type(x), repr(x)) for x in entries]
+
+
+def _seeded_recurrences(rng):
+    """85 recurrences of degree 0 to 12: small and large denominators of both
+    signs, negative alpha, plain integers and Newton centers."""
+    def q(top, den):
+        return Fraction(rng.randint(-top, top), rng.choice([-1, 1]) * rng.randint(1, den))
+
+    for k in range(85):
+        n = rng.randint(0, 12)
+        if k % 4 == 0:
+            alpha = [q(9, 7) or Fraction(-3, 5) for _ in range(n)]
+            yield RecurrenceSpec(alpha, [q(9, 7) for _ in range(n)], [q(9, 7) for _ in range(n)]), n
+        elif k % 4 == 1:
+            yield newton_recurrence([q(9, 7) for _ in range(n)]), n
+        elif k % 4 == 2:
+            yield RecurrenceSpec([rng.choice([-5, -2, -1, 1, 3]) for _ in range(n)],
+                                 [rng.randint(-4, 4) for _ in range(n)]), n
+        else:
+            # longer than the degree needs, with denominators up to 10^12
+            alpha = [Fraction(rng.randint(1, 10**12), -rng.randint(1, 10**12)) for _ in range(n + 2)]
+            yield RecurrenceSpec(alpha, [q(10**9, 10**9) for _ in range(n + 2)],
+                                 [q(9, 7) for _ in range(n + 2)]), n
+
+
+def test_integer_rows_equal_the_fraction_recurrence():
+    cases = list(_seeded_recurrences(random.Random(11)))
+    assert {n for _, n in cases} == set(range(13))
+    for n in (0, 1, 30, 36):
+        cases += [(legendre_recurrence(n), n), (monomial_recurrence(n), n),
+                  (chebyshev_recurrence(n), n)]
+    for rec, n in cases:
+        want = orc.degree_graded_by_fractions(rec.alpha, rec.beta, rec.gamma, n)
+        assert _typed(diff_matrix_degree_graded(rec, n).entries) == _typed(
+            x for row in want for x in row)
+
+
+def test_float_recurrence_keeps_its_operations():
+    rec = RecurrenceSpec([0.5, 1.5, 2.5], [0.25] * 3, [1.5] * 3)
+    D = diff_matrix_degree_graded(rec, 3)
+    assert D.field is Field.REAL and all(type(x) is float for x in D.entries)
+    assert D.entries == tuple(x for row in orc.degree_graded_by_fractions(
+        rec.alpha, rec.beta, rec.gamma, 3) for x in row)

@@ -1,6 +1,10 @@
 """Node families, experiment records, and their CSV serialization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from polydiff.experiments import (
 )
 from polydiff.hermite import diff_matrix_hermite
 from polydiff.lagrange import diff_matrix_lagrange
+from polydiff.verify import CheckResult
 
 
 def test_chebyshev_points_shape():
@@ -96,3 +101,12 @@ def test_csv_roundtrips_floats():
     (r,) = run_experiment("hermite-norms", ns=[5])
     row = records_to_csv([r]).splitlines()[2].split(",")
     assert float(row[3]) == r.norm_D and float(row[4]) == r.norm_Z
+
+
+def test_records_compare_as_tuples_and_the_package_imports_no_dataclasses():
+    assert ExperimentRecord(3, "chebyshev", 3, norm_D=12.5) == (3, "chebyshev", 3, 12.5, None, None)
+    assert CheckResult("name", "all", True) == ("name", "all", True, "")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, polydiff; sys.exit('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

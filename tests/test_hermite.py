@@ -243,3 +243,40 @@ def test_matrix_equals_conjugation_oracle():
 def test_nilpotency_index_is_dimension():
     ns = NodeSet([Fraction(0), Fraction(1, 3), Fraction(-2)], [2, 3, 1])
     assert nilpotency_index(diff_matrix_hermite(ns)) == 6
+
+
+# ---------------------------------------------------------------- integer kernel
+
+def _typed(entries):
+    return [(type(x), repr(x)) for x in entries]
+
+
+def _seeded_node_sets(rng):
+    """360 node sets of 1 to 6 rationals with confluencies 1 to 4, then
+    the named cases: 41 and 14 equispaced nodes, integer nodes, large
+    and negative denominators, and a single node."""
+    for _ in range(360):
+        ts, count = [], rng.randint(1, 6)
+        while len(ts) < count:
+            q = Fraction(rng.randint(-20, 20), rng.choice([-1, 1]) * rng.randint(1, 9))
+            if q not in ts:
+                ts.append(q)
+        yield NodeSet(ts, [rng.randint(1, 4) for _ in ts])
+    yield NodeSet([Fraction(k - 20, 20) for k in range(41)])
+    yield NodeSet([Fraction(k - 20, 20) for k in range(14)], [3] * 14)
+    yield NodeSet([3, -2, 7, 11], [2, 1, 3, 1])
+    yield NodeSet([3, -2, 7, 11, 0])
+    yield NodeSet([Fraction(10**15 + 7, -10**13 - 3), Fraction(3, 10**14 + 1), Fraction(-5, 7)],
+                  [2, 3, 1])
+    yield NodeSet([Fraction(2, 3)], [4])
+    yield NodeSet([Fraction(-2, 3)])
+
+
+def test_integer_kernel_equals_the_fraction_weights_and_rows():
+    sets = list(_seeded_node_sets(random.Random(12)))
+    assert {s for ns in sets for s in ns.confluencies} == {1, 2, 3, 4}
+    for ns in sets:
+        want = orc.gen_bary_weights_by_fractions(ns.nodes, ns.confluencies)
+        assert [_typed(row) for row in gen_bary_weights(ns).weights] == [_typed(row) for row in want]
+        want = orc.diff_matrix_hermite_by_fractions(ns.nodes, ns.confluencies)
+        assert _typed(diff_matrix_hermite(ns).entries) == _typed(x for row in want for x in row)

@@ -32,6 +32,7 @@ from polydiff.families import FAMILIES
 from polydiff.hermite import diff_matrix_hermite
 from polydiff.lagrange import diff_matrix_lagrange
 from polydiff.structure import (
+    _shift_columns,
     build_V,
     conjugation_oracle,
     invert_matrix,
@@ -364,6 +365,66 @@ def test_nilpotency_index_small_cases():
         assert nilpotency_index(D) == want
     with pytest.raises(ArithmeticError):
         nilpotency_index(DenseMatrix.from_rows([[0, F(1, 10**20)], [F(-1, 3), 0]]))
+
+
+def _seeded_nilpotent(rng, n, index):
+    """S N S^(-1) for a random rational S and N nilpotent Jordan blocks, the largest of size index."""
+    sizes = [index]
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(index, n - sum(sizes))))
+    rng.shuffle(sizes)
+    starts = {sum(sizes[:b]) + k for b in range(len(sizes)) for k in range(sizes[b] - 1)}
+    N = [[Fraction(int(j == i + 1 and i in starts)) for j in range(n)] for i in range(n)]
+    while True:
+        S = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        try:
+            Sinv = orc.gauss_jordan_inverse(S)
+        except SingularMatrixError:
+            continue
+        return _plain_product(_plain_product(S, N), Sinv)
+
+
+def _plain_product(A, B):
+    cols = list(zip(*B))
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A]
+
+
+def test_nilpotency_index_on_seeded_nilpotent_matrices():
+    rng = random.Random(13)
+    for n in range(1, 10):
+        for index in range(1, n + 1):
+            rows = _seeded_nilpotent(rng, n, index)
+            assert nilpotency_index(DenseMatrix.from_rows(rows)) == index
+            assert orc.nilpotency_index_by_powers(rows) == index
+    for n in range(1, 8):
+        # every eigenvalue 10^-9, not 0: both raise
+        rows = [[x + Fraction(int(i == j), 10**9) for j, x in enumerate(row)]
+                for i, row in enumerate(_seeded_nilpotent(rng, n, n))]
+        for index in (lambda r: nilpotency_index(DenseMatrix.from_rows(r)),
+                      orc.nilpotency_index_by_powers):
+            with pytest.raises(ArithmeticError):
+                index(rows)
+
+
+def test_nilpotency_index_equals_linear_powers_on_every_family():
+    for name in FAMILIES:
+        for dim in (1, 2, 5, 9):
+            D = FAMILIES[name].diff_matrix(_rational_instance(name, dim, random.Random(dim)))
+            assert nilpotency_index(D) == orc.nilpotency_index_by_powers(D.to_rows()) == dim
+
+
+def test_column_shift_is_the_product_with_the_jordan_block():
+    rng = random.Random(14)
+    for field, draw in [(Field.RATIONAL, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))),
+                        (Field.REAL, lambda: rng.uniform(-2, 2)),
+                        (Field.COMPLEX, lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))]:
+        for n in range(0, 6):
+            M = DenseMatrix(n, n, [draw() for _ in range(n * n)], field)
+            J = jordan_block(n, field)
+            Jt = DenseMatrix.from_rows([list(c) for c in zip(*J.to_rows())], field) if n else J
+            assert _shift_columns(M, 1) == M * J
+            assert _shift_columns(M, -1) == M * Jt
+            assert _shift_columns(M, 1).field is field
 
 
 # ---------------------------------------------------------------- oracle
