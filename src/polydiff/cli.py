@@ -17,6 +17,8 @@ floating-point result that would print inf or nan).
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import re
 import sys
@@ -253,6 +255,12 @@ def cmd_experiment(args) -> int:
 # ------------------------------------------------------------ driver
 
 def build_parser() -> argparse.ArgumentParser:
+    """A copy of the tree built once, so what one caller sets on it stays on that copy."""
+    return copy.copy(_parser_tree())
+
+
+@functools.cache
+def _parser_tree() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polydiff",
         description="Differentiation matrices for polynomial bases.")

@@ -12,7 +12,8 @@ from __future__ import annotations
 from .core import DenseMatrix, Field, NodeSet, as_node_set, zero_of
 from .hermite import (
     GenBaryWeights,
-    _pole_sum,
+    _at_points,
+    _pole_sums,
     constant_data,
     diff_matrix_hermite,
     gen_bary_weights,
@@ -41,14 +42,17 @@ def eval_first_form(w: GenBaryWeights, values, z):
     return hermite_eval(w, values, z)
 
 
+def _second_form(w: GenBaryWeights, values, zs) -> list:
+    """``eval_second_form`` at every z in zs, node-major over the whole list."""
+    return _at_points(w, values, zs, lambda v, rest: [
+        a / b for a, b in zip(_pole_sums(w, v, rest), _pole_sums(w, constant_data(w.nodes), rest))])
+
+
 def eval_second_form(w: GenBaryWeights, values, z):
     """Second barycentric form: the pole sum over the values divided by the
     pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's."""
-    nodes = _simple_nodes(w.nodes)
-    values = tuple(values)
-    if len(values) != nodes.dimension or z in nodes.nodes:
-        return hermite_eval(w, values, z)
-    return _pole_sum(w, values, z) / _pole_sum(w, constant_data(nodes), z)
+    _simple_nodes(w.nodes)
+    return _second_form(w, values, [z])[0]
 
 
 def diff_matrix_lagrange(nodes) -> DenseMatrix:

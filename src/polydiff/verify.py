@@ -200,12 +200,12 @@ def check_lagrange_forms_agree():
         ns = NodeSet(chebyshev_points(n))
         w = lagrange.bary_weights(ns)
         values = [rng.uniform(-2, 2) for _ in range(n + 1)]
-        for _ in range(30):
-            z = rng.uniform(-1, 1)
-            if any(z == t for t in ns.nodes):
-                continue
-            a = lagrange.eval_first_form(w, values, z)
-            b = lagrange.eval_second_form(w, values, z)
+        zs = [z for z in (rng.uniform(-1, 1) for _ in range(30)) if z not in ns.nodes]
+        firsts, seconds = hermite._first_form(w, values, zs), lagrange._second_form(w, values, zs)
+        if (lagrange.eval_first_form(w, values, zs[0]),
+                lagrange.eval_second_form(w, values, zs[0])) != (firsts[0], seconds[0]):
+            return False, f"one-point forms differ from the list at n={n}"
+        for a, b in zip(firsts, seconds):
             rel = abs(a - b) / max(1.0, abs(a), abs(b))
             worst = max(worst, rel)
     return worst <= 1e-13, f"worst relative gap {worst:.3e}"

@@ -10,7 +10,10 @@ is meaningful evidence.
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, repeat
 from math import comb
+from operator import add, mul
 
 from polydiff.core import SingularMatrixError
 
@@ -341,6 +344,53 @@ def second_form_by_sums(w, values, z):
     num = sum(b * v / (z - t) for b, v, t in zip(bs, values, ts))
     den = sum(b / (z - t) for b, t in zip(bs, ts))
     return num / den
+
+
+# ---------------------------------------------------------- one point at a time
+# The package's evaluation before it ran node-major over a list of points,
+# kept operation for operation: the list kernels must give the same floats.
+
+def node_polynomial_at(nodes, z):
+    """w(z) = prod (z - t_k)^(s_k), multiplied out one factor at a time, left to right."""
+    diffs = [z - t for t in nodes.nodes]
+    return reduce(mul, chain.from_iterable(map(repeat, diffs, nodes.confluencies)))
+
+
+def pole_sum_at(w, data, z):
+    """sum_{i, k <= j} b_{i,j} d_{i,k} / (z - t_i)^(j+1-k): per node, Horner in
+    u = 1/(z - t_i), P_0 = d_{i,0} and P_j = u P_{j-1} + d_{i,j}, gives the
+    share u sum_j b_{i,j} P_j; shares are added left to right."""
+    shares = []
+    for t, row, o in zip(w.nodes.nodes, w.weights, w.nodes.offsets):
+        u = 1 / (z - t)
+        p = data[o]
+        local = row[0] * p
+        for j in range(1, len(row)):
+            p = p * u + data[o + j]
+            local += row[j] * p
+        shares.append(local * u)
+    return reduce(add, shares)
+
+
+def first_form_at(w, data, z):
+    """w(z) times the pole sum, or the stored value when z hits a node."""
+    nodes = w.nodes
+    data = tuple(data)
+    if len(data) != nodes.dimension:
+        raise ValueError(f"expected {nodes.dimension} data entries, got {len(data)}")
+    if z in nodes.nodes:
+        return data[nodes.offsets[nodes.nodes.index(z)]]
+    return node_polynomial_at(nodes, z) * pole_sum_at(w, data, z)
+
+
+def second_form_at(w, values, z):
+    """Pole sum over the values over the pole sum over ones; a node hit is the first form's."""
+    nodes = w.nodes
+    values = tuple(values)
+    if len(values) != nodes.dimension or z in nodes.nodes:
+        return first_form_at(w, values, z)
+    ones = [1 * t ** 0 for t in nodes.nodes]   # constant_data at simple nodes
+    return pole_sum_at(w, values, z) / pole_sum_at(w, ones, z)
 
 
 # ---------------------------------------------------------- scalar text

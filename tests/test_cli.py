@@ -15,7 +15,9 @@ from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.cli import (
     UsageError,
     _absorb_negative_values,
+    _parser_tree,
     _read_values,
+    build_parser,
     format_scalar,
     main,
     parse_complex,
@@ -619,3 +621,13 @@ def test_experiment_deterministic_output(tmp_path, capsys):
     code, out, _ = run_cli(capsys, argv + ["--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_text() == first
+
+
+def test_parser_tree_is_built_once_and_each_caller_gets_its_own_copy():
+    # perfbench's tracer wraps parse_args on the parser it is handed; on a
+    # shared parser the wrappers would nest one deeper with every request
+    first, second = build_parser(), build_parser()
+    first.parse_args = None
+    assert second.parse_args(["verify", "--basis", "bernstein"]).basis == "bernstein"
+    assert main(["verify", "--basis", "bernstein"]) == 0
+    assert _parser_tree.cache_info().misses == 1
