@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import experiments, hermite, structure, verify
-from .core import DenseMatrix, Field, NodeSet, all_finite, promote_matrix
+from .core import DenseMatrix, Field, NodeSet, all_finite, field_of, promote_matrix
 from .degree_graded import RecurrenceSpec
 from .families import FAMILIES
 
@@ -64,12 +64,7 @@ def parse_scalar(s: str, field: Field):
         raise UsageError(f"cannot parse {shown!r} as a {field.value} scalar{why}") from exc
 
 
-def format_scalar(x) -> str:
-    if isinstance(x, complex):
-        sign = "-" if x.imag < 0 else "+"
-        return f"{x.real!r}{sign}{abs(x.imag)!r}i"
-    if isinstance(x, float):
-        return repr(x)
+def _exact_text(x) -> str:
     try:
         # an exact entry is already a Fraction; only plain integers need one
         return str(x if isinstance(x, Fraction) else Fraction(x))
@@ -77,6 +72,22 @@ def format_scalar(x) -> str:
         # Python refuses to turn integers past its digit limit into text
         raise ValueError(f"exact result too long to print: a numerator or denominator "
                          f"has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
+def _complex_text(x: complex) -> str:
+    sign = "-" if x.imag < 0 else "+"
+    return f"{x.real!r}{sign}{abs(x.imag)!r}i"
+
+
+# one formatter per field: a matrix, homogeneous, picks its own once
+_FORMATTERS = {Field.RATIONAL: _exact_text, Field.REAL: repr, Field.COMPLEX: _complex_text}
+
+
+def format_scalar(x) -> str:
+    """Text of one scalar: "p/q" (bare integers without the slash), ``repr`` of a
+    float, "a+bi"; dispatched on its field through the table that
+    ``matrix_to_csv`` and ``matrix_to_json`` read once per matrix."""
+    return _FORMATTERS[field_of(x)](x)
 
 
 def _read_values(spec: str) -> list[str]:
@@ -110,16 +121,18 @@ def parse_int_list(spec: str) -> list[int]:
 # ------------------------------------------------------------ output
 
 def matrix_to_csv(M: DenseMatrix) -> str:
-    lines = [",".join(format_scalar(e) for e in M.row(i)) for i in range(M.rows)]
+    fmt = _FORMATTERS[M.field]
+    lines = [",".join(map(fmt, M.row(i))) for i in range(M.rows)]
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_json(M: DenseMatrix, basis_name: str) -> str:
+    fmt = _FORMATTERS[M.field]
     obj = {
         "basis": basis_name,
         "dimension": M.rows,
         "field": M.field.value,
-        "entries": [[format_scalar(e) for e in M.row(i)] for i in range(M.rows)],
+        "entries": [list(map(fmt, M.row(i))) for i in range(M.rows)],
     }
     return json.dumps(obj, indent=2) + "\n"
 

@@ -17,6 +17,7 @@ import cmath
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 
@@ -26,6 +27,9 @@ class Field(Enum):
     RATIONAL = "rational"
     REAL = "real"
     COMPLEX = "complex"
+
+    # members are singletons: identity hashing keeps dict lookups in C
+    __hash__ = object.__hash__
 
 
 _RANK = {Field.RATIONAL: 0, Field.REAL: 1, Field.COMPLEX: 2}
@@ -69,6 +73,17 @@ def coerce_scalar(x, field: Field):
 
 
 _SCALAR_TYPE = {Field.RATIONAL: Fraction, Field.REAL: float, Field.COMPLEX: complex}
+
+
+def _coerce_all(values, field: Field) -> tuple:
+    """``coerce_scalar`` over every value: one pass into a floating field from the
+    plain number types, a Fraction's float being numerator / denominator (what
+    float() computes); otherwise value by value, so a refused demotion names the first."""
+    values, plain = tuple(values), {bool, int, Fraction, float, _SCALAR_TYPE[field]}
+    if field is Field.RATIONAL or not set(map(type, values)) <= plain:
+        return tuple([coerce_scalar(x, field) for x in values])
+    return tuple(map(_SCALAR_TYPE[field], [x.numerator / x.denominator if type(x) is Fraction
+                                           else x for x in values]))
 
 
 def _integer_scaled(xs) -> tuple[int, list[int]]:
@@ -119,11 +134,13 @@ class DenseMatrix:
 
     Storage is row-major.  Matrices here stay small (a few hundred rows
     at most), so no triangular or banded structure is exploited even
-    when the contents would allow it.  Products and ``mat_apply`` share
-    one dot-product kernel: over rationals it clears each row of the left
-    factor and each column of the right one of its denominators once,
-    sums integers and forms one ``Fraction`` per entry; floating products
-    sum left to right from zero.
+    when the contents would allow it.  Construction checks the entry
+    types in one pass over ``map(type, entries)`` and coerces, in one
+    more pass, only when some entry is not of the field's own type.
+    Products and ``mat_apply`` share one dot-product kernel: over
+    rationals it clears each row of the left factor and each column of
+    the right one of its denominators once, sums integers and forms one
+    ``Fraction`` per entry; floating products sum left to right from zero.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")
@@ -135,9 +152,8 @@ class DenseMatrix:
         if field is None:
             field = join_fields(Field.RATIONAL, *(field_of(e) for e in entries))
         # entries already of the field's own type coerce to themselves
-        kind = _SCALAR_TYPE[field]
-        if not all(type(e) is kind for e in entries):
-            entries = tuple(coerce_scalar(e, field) for e in entries)
+        if not set(map(type, entries)) <= {_SCALAR_TYPE[field]}:
+            entries = _coerce_all(entries, field)
         self.rows = rows
         self.cols = cols
         self.field = field
@@ -150,7 +166,7 @@ class DenseMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r], field)
+        return cls(n, m, chain.from_iterable(rows), field)
 
     @classmethod
     def identity(cls, n: int, field: Field = Field.RATIONAL) -> "DenseMatrix":
@@ -226,13 +242,14 @@ class NodeSet:
         if any(s < 1 for s in confluencies):
             raise ValueError("confluencies must be at least 1")
         field = join_fields(*(field_of(t) for t in nodes))
-        nodes = tuple(coerce_scalar(t, field) for t in nodes)
+        nodes = _coerce_all(nodes, field)
         if not all_finite(field, nodes):
             raise ValueError("nodes must be finite numbers")
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                if nodes[a] == nodes[b]:
-                    raise ValueError(f"duplicate node {nodes[a]!r}; use a confluency instead")
+        # equal numbers hash equal, so each value maps to its last index
+        last = {t: k for k, t in enumerate(nodes)}
+        if len(last) < len(nodes):
+            a = next(a for a, t in enumerate(nodes) if last[t] != a)
+            raise ValueError(f"duplicate node {nodes[a]!r}; use a confluency instead")
         offsets, total = [], 0
         for s in confluencies:
             offsets.append(total)
@@ -380,20 +397,30 @@ def vec_inf_norm(v):
 
 
 def mat_power(M: DenseMatrix, k: int) -> DenseMatrix:
-    """k-th power by repeated multiplication; k = 0 gives the identity."""
+    """k-th power by repeated squaring; k = 0 gives the identity.
+
+    About 2 log2(k) products (Knuth, TAOCP vol. 2, 4.6.3).  Exact powers
+    equal the repeated product; float powers group the products
+    differently and may round differently.
+    """
     if M.rows != M.cols:
         raise ValueError("matrix power needs a square matrix")
     if k < 0:
         raise ValueError("negative powers are not defined here")
     out = DenseMatrix.identity(M.rows, M.field)
-    for _ in range(k):
-        out = out * M
+    while k:
+        if k & 1:
+            out = out * M
+        k >>= 1
+        if k:
+            M = M * M
     return out
 
 
 def promote_matrix(M: DenseMatrix, field: Field) -> DenseMatrix:
-    """Return M with entries promoted into ``field`` (demotion is an error)."""
-    return DenseMatrix(M.rows, M.cols, M.entries, field)
+    """Return M with entries promoted into ``field`` (demotion is an error);
+    M itself when it is already in ``field``."""
+    return M if M.field is field else DenseMatrix(M.rows, M.cols, M.entries, field)
 
 
 def approx_equal(a, b, tol: float = 1e-10) -> bool:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     DegreeGradedBasis,
     DenseMatrix,
     Field,
     NodeSet,
+    _coerce_all,
     _integer_scaled,
     all_finite,
     as_node_set,
@@ -52,9 +54,7 @@ class RecurrenceSpec:
             raise ValueError("every alpha_j must be nonzero")
         field = join_fields(Field.RATIONAL,
                             *(field_of(x) for x in alpha + beta + gamma))
-        self.alpha = tuple(coerce_scalar(a, field) for a in alpha)
-        self.beta = tuple(coerce_scalar(b, field) for b in beta)
-        self.gamma = tuple(coerce_scalar(g, field) for g in gamma)
+        self.alpha, self.beta, self.gamma = (_coerce_all(v, field) for v in (alpha, beta, gamma))
         if not all_finite(field, self.alpha + self.beta + self.gamma):
             raise ValueError("recurrence coefficients must be finite numbers")
         self.field = field
@@ -167,8 +167,8 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
     Column k holds the coefficients of phi_k' in phi_0 .. phi_n.  The
     entries are filled by a second-order recurrence in the coefficients
     of the multiplication-by-x rule; each entry costs O(1), so the whole
-    construction is O(n^2).  Rationals run the recurrence on integer
-    rows, see ``_integer_rows``.
+    construction is O(n^2).  Floats run it one comprehension per row of
+    Q; rationals run it on integer rows, see ``_integer_rows``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -180,24 +180,19 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
                                           for r in range(n + 1) for k in range(n + 1)], rec.field)
     a, b, g = rec.alpha, rec.beta, rec.gamma
     zero = zero_of(rec.field)
-    # Q[i][j] = coefficient of phi_{j-1} in phi_i', for 1 <= j <= i <= n.
-    # Entries above the diagonal stay zero; index 0 rows/columns stay zero.
-    Q = [[zero] * (n + 2) for _ in range(n + 1)]
+    # Q[i][j] = coefficient of phi_{j-1} in phi_i', 1 <= j <= i <= n, from rows i-1 and i-2;
+    # column 0 and the entries above the diagonal stay zero, and column 1 has no alpha term
+    Q = [[zero] * (n + 2)]
     for i in range(1, n + 1):
-        Q[i][i] = i / a[i - 1]
-        for j in range(i - 1, 0, -1):
-            acc = (b[j - 1] - b[i - 1]) * Q[i - 1][j]
-            if j >= 2:
-                acc += a[j - 2] * Q[i - 1][j - 1]
-            acc += g[j] * Q[i - 1][j + 1]
-            if i >= 2:
-                acc -= g[i - 1] * Q[i - 2][j]
-            Q[i][j] = acc / a[i - 1]
-    entries = []
-    for r in range(n + 1):
-        for k in range(n + 1):
-            entries.append(Q[k][r + 1] if r < k else zero)
-    return DenseMatrix(n + 1, n + 1, entries, rec.field)
+        P, PP, ai, bi, gi = Q[i - 1], Q[max(i - 2, 0)], a[i - 1], b[i - 1], g[i - 1]
+        row = [zero]
+        if i > 1:
+            row.append(((b[0] - bi) * P[1] + g[1] * P[2] - gi * PP[1]) / ai)
+        row += [((b[j - 1] - bi) * P[j] + a[j - 2] * P[j - 1] + g[j] * P[j + 1] - gi * PP[j]) / ai
+                for j in range(2, i)]
+        Q.append(row + [i / ai] + [zero] * (n + 1 - i))
+    # column k of D is row k of Q without its column 0
+    return DenseMatrix(n + 1, n + 1, chain.from_iterable(zip(*(q[1:] for q in Q))), rec.field)
 
 
 def chebyshev_diff_matrix(n: int) -> DenseMatrix:

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, truediv
 from typing import NamedTuple
 
 from .core import (
@@ -78,37 +78,35 @@ def node_polynomial_value(nodes, z):
     return _node_products(as_node_set(nodes), [z])[0]
 
 
-def _next_column(q, prev_and_c):
-    """One factor's update of a later Taylor coefficient: g_t <- g_{t-1} + c g_t."""
-    prev, c = prev_and_c
-    return prev + c * q
-
-
 def _local_series(nodes: NodeSet, extra: int):
     """Taylor coefficients of every g_i about its own node t_i: (L, ts, coefficients).
 
     Entry i lists the coefficients of u^0 .. u^(s_i - 1 + extra) with
-    u = z - t_i, from multiplying in one linear factor (u + t_i - t_m)
-    at a time.  Column t of that product is a running recurrence over
-    the factors, g_0 <- g_0 c and g_t <- g_{t-1} + c g_t, so each
-    coefficient is one scan over the previous coefficient's history.
+    u = z - t_i.  Each linear factor (u + t_i - t_m) is multiplied into
+    every node's list at once, g_0 <- g_0 c and g_t <- g_{t-1} + c g_t,
+    and node m's own entries are then restored: each coefficient sees a
+    node-by-node product's operations in order.  Nodes are held by falling
+    confluency, so those that need order t are a prefix where ``zip`` stops.
     Rational nodes run over the integers ts = T = L t instead, giving
     h_i(v) = prod_{m != i} (T_i - T_m + v)^(s_m) = L^(dim - s_i) g_i(v / L).
     """
-    exact = nodes.field is Field.RATIONAL
+    exact, confs = nodes.field is Field.RATIONAL, nodes.confluencies
     L, ts = _integer_scaled(nodes.nodes) if exact else (1, nodes.nodes)
     one, zero = (1, 0) if exact else (one_of(nodes.field), zero_of(nodes.field))
-    flat = list(chain.from_iterable(map(repeat, ts, nodes.confluencies)))
-    out = []
-    for ti, si, oi in zip(ts, nodes.confluencies, nodes.offsets):
-        factors = [ti - tm for tm in flat[:oi] + flat[oi + si:]]
-        column = list(accumulate(factors, mul, initial=one))
-        g = [column[-1]]
-        for _ in range(si - 1 + extra):
-            column = list(accumulate(zip(column, factors), _next_column, initial=zero))
-            g.append(column[-1])
-        out.append(g)
-    return L, ts, out
+    rank = sorted(range(len(ts)), key=confs.__getitem__, reverse=True)
+    pos = {i: k for k, i in enumerate(rank)}
+    # g[t][pos[i]]: coefficient t of node i's product so far
+    g = [[one] * len(ts)] + [[zero] * sum(s + extra > t for s in confs)
+                             for t in range(1, max(confs) + extra)]
+    for m, (tm, sm) in enumerate(zip(ts, confs)):
+        cs, k = [ts[i] - tm for i in rank], pos[m]
+        for _ in range(sm):
+            new = [list(map(mul, g[0], cs))]
+            new += [[p + c * q for p, c, q in zip(prev, cs, cur)] for prev, cur in zip(g, g[1:])]
+            for row, old in zip(new, g):
+                row[k:k + 1] = old[k:k + 1]
+            g = new
+    return L, ts, [[row[pos[i]] for row in g[:s + extra]] for i, s in enumerate(confs)]
 
 
 def _integer_reciprocal(h, si: int) -> list:
@@ -249,43 +247,38 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
     and the coefficient k+1 of g_i for l = i, where the pole cancels
     against the node factor inside w.  At confluency 1 the entries are
     b_l g_i(t_i) / (t_i - t_l) off the diagonal and g_i'(t_i) / g_i(t_i)
-    on it.  Construction is O(dim^2) once the g_i are known.  Rational
-    nodes form each entry from integers as one Fraction, see ``_exact_row``.
+    on it.  Construction is O(dim^2) once the g_i are known.  Floating
+    rows are built one column block l at a time over all rows at once and
+    then transposed, each entry with the operations, in order, and the
+    ``sum`` of an entry-by-entry loop.  Rational nodes form each entry from
+    integers as one Fraction, see ``_exact_row``.
     """
     nodes = as_node_set(nodes)
-    exact = nodes.field is Field.RATIONAL
+    confs, one, zero = nodes.confluencies, one_of(nodes.field), zero_of(nodes.field)
     L, T, local = _local_series(nodes, 1)
-    if exact:
-        series = [(h, _integer_reciprocal(h, s)) for h, s in zip(local, nodes.confluencies)]
+    if nodes.field is Field.RATIONAL:
+        series = [(h, _integer_reciprocal(h, s)) for h, s in zip(local, confs)]
+        last = [_exact_row(L, T, series, confs, i) for i in range(len(confs))]
     else:
-        w = _weights_from_series(nodes, local)
-        columns = list(zip(nodes.nodes, nodes.confluencies, w.weights))
-    dim = nodes.dimension
-    one, zero = one_of(nodes.field), zero_of(nodes.field)
-    rows = []
-    for i, (ti, si, oi) in enumerate(zip(nodes.nodes, nodes.confluencies, nodes.offsets)):
-        for j in range(1, si):
-            row = [zero] * dim
-            row[oi + j] = j * one
-            rows.append(row)
-        if exact:
-            rows.append(_exact_row(L, T, series, nodes.confluencies, i))
-            continue
-        gi = local[i]
-        g0 = gi[0]
-        row = []
-        for l, (tl, sl, wl) in enumerate(columns):
-            if l == i:
-                coeffs = gi[1:]
-            else:
-                # powers of c by repeated multiplication from c ** 0
-                c = ti - tl
-                p = c ** 0 * c
-                coeffs = [g0 / p]
-                for _ in range(1, sl):
-                    p = p * c
-                    coeffs.append(g0 / p)
-            for m in range(sl):
-                row.append(si * sum(map(mul, wl[m:], coeffs)))
+        g0s, cols = [g[0] for g in local], []
+        for l, (tl, wl) in enumerate(zip(T, _weights_from_series(nodes, local).weights)):
+            # powers of c = t_i - t_l by repeated multiplication from c ** 0; c = 1 stands in at l
+            cs = [ti - tl for ti in T]
+            cs[l] = one
+            ps = [c ** 0 * c for c in cs]
+            qs = [list(map(truediv, g0s, ps))]
+            for _ in range(1, len(wl)):
+                ps = list(map(mul, ps, cs))
+                qs.append(list(map(truediv, g0s, ps)))
+            for k, qk in enumerate(qs):
+                qk[l] = local[l][k + 1]
+            for m in range(len(wl)):
+                # entry i is s_i sum_k b_{l,m+k} q_k[i]: ``sum`` in k order keeps its float
+                terms = [map(mul, repeat(b), qk) for b, qk in zip(wl[m:], qs)]
+                cols.append(list(map(mul, confs, map(sum, zip(*terms)))))
+        last = list(zip(*cols))
+    rows, dim = [], nodes.dimension
+    for si, oi, row in zip(confs, nodes.offsets, last):
+        rows += [[zero] * (oi + j) + [j * one] + [zero] * (dim - oi - j - 1) for j in range(1, si)]
         rows.append(row)
     return DenseMatrix.from_rows(rows, nodes.field)

@@ -217,6 +217,89 @@ def diff_matrix_hermite_by_fractions(nodes, confluencies):
     return rows
 
 
+# ---------------------------------------------------------- former float loops
+# The package's former floating-point constructors, one entry at a time,
+# kept operation for operation: the whole-list passes that replaced them
+# must give the same floats, by type and repr.
+
+def local_series_by_columns(nodes, extra):
+    """Per node, g_i's coefficients of u^0 .. u^(s_i - 1 + extra) about t_i: the
+    factors t_i - t_m multiplied in flat order, one coefficient's history at a time."""
+    one, zero = type(nodes.nodes[0])(1), type(nodes.nodes[0])(0)
+    flat = [t for t, s in zip(nodes.nodes, nodes.confluencies) for _ in range(s)]
+    out = []
+    for ti, si, oi in zip(nodes.nodes, nodes.confluencies, nodes.offsets):
+        factors = [ti - tm for tm in flat[:oi] + flat[oi + si:]]
+        column = [one]
+        for c in factors:
+            column.append(column[-1] * c)
+        g = [column[-1]]
+        for _ in range(si - 1 + extra):
+            new = [zero]
+            for prev, c in zip(column, factors):
+                new.append(prev + c * new[-1])
+            column = new
+            g.append(column[-1])
+        out.append(g)
+    return out
+
+
+def gen_bary_weights_by_series(nodes):
+    """b_{i, s_i-1-t} = coefficient t of 1/g_i about t_i, from the column-wise g_i."""
+    return [[_reciprocal_series(g, s - 1)[s - 1 - j] for j in range(s)]
+            for g, s in zip(local_series_by_columns(nodes, 0), nodes.confluencies)]
+
+
+def diff_matrix_hermite_by_entries(nodes):
+    """Rows of the floating confluent matrix, entry by entry: s_i sum_k b_{l,m+k} c_k
+    with c_k = g_i(t_i) / p_k, p_1 = c ** 0 * c and p_{k+1} = p_k c for c = t_i - t_l,
+    and c_k the coefficient k+1 of g_i on the diagonal block."""
+    local = local_series_by_columns(nodes, 1)
+    weights = gen_bary_weights_by_series(nodes)
+    one, zero = type(nodes.nodes[0])(1), type(nodes.nodes[0])(0)
+    rows = []
+    for i, (ti, si, oi) in enumerate(zip(nodes.nodes, nodes.confluencies, nodes.offsets)):
+        for j in range(1, si):
+            row = [zero] * nodes.dimension
+            row[oi + j] = j * one
+            rows.append(row)
+        gi, row = local[i], []
+        for l, (tl, sl, wl) in enumerate(zip(nodes.nodes, nodes.confluencies, weights)):
+            if l == i:
+                coeffs = gi[1:]
+            else:
+                c = ti - tl
+                p = c ** 0 * c
+                coeffs = [gi[0] / p]
+                for _ in range(1, sl):
+                    p = p * c
+                    coeffs.append(gi[0] / p)
+            for m in range(sl):
+                row.append(si * sum(map(mul, wl[m:], coeffs)))
+        rows.append(row)
+    return rows
+
+
+def diff_matrix_lagrange_by_entries(nodes):
+    """The simple-node rows above, each diagonal entry replaced by minus its row's other entries."""
+    rows = diff_matrix_hermite_by_entries(nodes)
+    zero = type(nodes.nodes[0])(0)
+    for i, row in enumerate(rows):
+        row[i] = zero
+        row[i] = zero - sum(row)
+    return rows
+
+
+def mat_power_by_products(rows, k):
+    """rows^k as the package formed it before: I, then k products with the matrix, over Fractions."""
+    n = len(rows)
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*rows))
+    for _ in range(k):
+        out = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in out]
+    return out
+
+
 # ---------------------------------------------------------- basis elements
 
 def degree_graded_polys(alpha, beta, gamma, n):

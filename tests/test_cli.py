@@ -20,6 +20,8 @@ from polydiff.cli import (
     build_parser,
     format_scalar,
     main,
+    matrix_to_csv,
+    matrix_to_json,
     parse_complex,
     parse_int_list,
     parse_scalar,
@@ -108,9 +110,37 @@ def test_format_scalar():
     assert format_scalar(0.5) == "0.5"
     assert format_scalar(1.5 + 0.5j) == "1.5+0.5i"
     assert format_scalar(1.5 - 0.5j) == "1.5-0.5i"
+    assert format_scalar(True) == "1"
+    assert format_scalar(-0.0) == "-0.0" and format_scalar(5e-324) == "5e-324"
+    # the sign of a zero imaginary part is not printed
+    assert format_scalar(complex(-0.0, -0.0)) == "-0.0+0.0i"
     limit = sys.get_int_max_str_digits()
     with pytest.raises(ValueError, match=f"more than {limit} digits"):
         format_scalar(Fraction(1, 10 ** limit))
+
+
+FORMAT_CASES = [
+    [Fraction(3, 4), Fraction(-5), 0, Fraction(-1, 10 ** 12), Fraction(10 ** 40 + 1, 7), True],
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1],
+    [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j, -1.5 + 5e-324j,
+     complex(1.7976931348623157e308, -2.5), complex(5e-324, 0.0)],
+]
+
+
+@pytest.mark.parametrize("values", FORMAT_CASES, ids=["rational", "real", "complex"])
+def test_matrix_text_is_the_per_entry_format_scalar_join(values):
+    M = DenseMatrix(2, len(values), values + values[::-1])
+    rows = [[format_scalar(e) for e in M.row(i)] for i in range(M.rows)]
+    assert matrix_to_csv(M) == "\n".join(",".join(r) for r in rows) + "\n"
+    assert json.loads(matrix_to_json(M, "b"))["entries"] == rows
+
+
+def test_matrix_text_refuses_an_entry_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    M = DenseMatrix(1, 2, [Fraction(1, 2), Fraction(1, 10 ** limit)])
+    for emit in (matrix_to_csv, lambda m: matrix_to_json(m, "b")):
+        with pytest.raises(ValueError, match=f"exact result too long to print: .* more than {limit} digits"):
+            emit(M)
 
 
 @given(st.fractions(max_denominator=10 ** 6))

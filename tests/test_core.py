@@ -29,6 +29,8 @@ from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.degree_graded import monomial_recurrence
 from polydiff.structure import nilpotency_index
 
+import _oracles as orc
+
 
 # ---------------------------------------------------------------- fields
 
@@ -92,6 +94,28 @@ def test_matrix_field_inference_and_promotion():
     assert M.field is Field.COMPLEX and M[0, 0] == 1 + 0j
     with pytest.raises(FieldError):
         promote_matrix(DenseMatrix(1, 1, [0.5]), Field.RATIONAL)
+
+
+def test_promotion_gives_what_coerce_scalar_gives_entry_by_entry():
+    values = [0, 1, -7, True, False, 10 ** 300, Fraction(1, 3), Fraction(-2, 7),
+              Fraction(10 ** 400, 3 * 10 ** 399 + 1), Fraction(-1, 10 ** 400), 0.5, -0.0]
+    for field in (Field.REAL, Field.COMPLEX):
+        got = DenseMatrix(1, len(values), values, field).entries
+        want = [coerce_scalar(x, field) for x in values]
+        assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+    got = DenseMatrix(1, 3, [1, True, Fraction(1, 2)], Field.RATIONAL).entries
+    assert [(type(x), x) for x in got] == [(Fraction, 1), (Fraction, 1), (Fraction, Fraction(1, 2))]
+    # a refused demotion names the first value that cannot go down
+    with pytest.raises(FieldError, match=r"complex value 2j to real"):
+        DenseMatrix(1, 4, [1, 2j, 0.5, 3j], Field.REAL)
+    with pytest.raises(OverflowError):
+        DenseMatrix(1, 1, [Fraction(10 ** 400)], Field.REAL)
+
+
+def test_promote_matrix_keeps_a_matrix_already_in_its_field():
+    M = DenseMatrix(1, 2, [0.5, -0.0])
+    assert promote_matrix(M, Field.REAL) is M
+    assert hash(Field.REAL) == object.__hash__(Field.REAL)
 
 
 def test_matrix_arithmetic():
@@ -196,6 +220,17 @@ def test_mat_power():
         mat_power(DenseMatrix.zeros(2, 3), 2)
 
 
+def test_mat_power_by_squaring_equals_the_repeated_product():
+    rng = random.Random(23)
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        M = DenseMatrix.from_rows(rows)
+        for k in range(n + 2):
+            want = [x for row in orc.mat_power_by_products(rows, k) for x in row]
+            assert [repr(x) for x in mat_power(M, k).entries] == [repr(x) for x in want]
+
+
 def test_norms_are_exact_on_rationals():
     M = DenseMatrix.from_rows([[Fraction(1, 3), Fraction(-1, 3)], [1, 0]])
     norm = mat_inf_norm(M)
@@ -256,6 +291,37 @@ def test_node_set_rejects_bad_input():
                 complex(0, float("nan")), complex(float("inf"), 1)):
         with pytest.raises(ValueError, match="finite"):
             NodeSet([0.5, bad, 1.0])
+
+
+def _first_duplicate_by_pairs(nodes):
+    """The node the former pair loop named: the earliest with a later equal."""
+    for a in range(len(nodes)):
+        for b in range(a + 1, len(nodes)):
+            if nodes[a] == nodes[b]:
+                return nodes[a]
+    return None
+
+
+def test_node_set_names_the_duplicate_the_pair_loop_named():
+    rng = random.Random(29)
+    cases = [[0.0, 1.5, -0.0], [-0.0, 0.0], [1j, 2, complex(0, 1)], [0.5, 0.25, 0.75],
+             [3, 1, 2, 1, 3], [Fraction(1, 2), 0.5], [1 + 0j, 2j, 1.0, 2j]]
+    for _ in range(200):
+        pool = [rng.choice([0.0, -0.0, 0.5, -1.25, 2.0]) for _ in range(4)]
+        pool += [complex(rng.choice([0.0, -0.0, 1.0]), rng.choice([0.0, -0.0, 1.0])) for _ in range(2)]
+        cases.append(rng.sample(pool, rng.randint(1, len(pool))))
+    named = 0
+    for nodes in cases:
+        field = join_fields(*map(field_of, nodes))
+        want = _first_duplicate_by_pairs([coerce_scalar(t, field) for t in nodes])
+        if want is None:
+            NodeSet(nodes)
+            continue
+        named += 1
+        with pytest.raises(ValueError) as exc:
+            NodeSet(nodes)
+        assert str(exc.value) == f"duplicate node {want!r}; use a confluency instead"
+    assert 0 < named < len(cases)
 
 
 def test_node_set_joins_fields():
