@@ -326,11 +326,11 @@ _VALUE_FLAGS = ("--nodes", "--alpha", "--beta", "--gamma")
 
 
 def _absorb_negative_values(argv: list[str]) -> list[str]:
-    """Turn ``--nodes -1,0,1`` into ``--nodes=-1,0,1`` so argparse accepts it."""
+    """Turn ``--nodes -1,0,1`` or ``--nodes -i,i`` into ``--nodes=...`` so argparse accepts it."""
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and re.match(r"-[\d.]", argv[i + 1]):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv) and re.match(r"-[\d.iI]", argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -29,7 +29,6 @@ GRID_POINTS = 1001
 GRID_NOTE = f"grid: {GRID_POINTS} uniform points on [-1,1]"
 
 EXPERIMENTS = ("hermite-norms", "hermite-error", "lagrange-error")
-NODE_FAMILIES = ("chebyshev", "equispaced")
 
 
 class ExperimentRecord(NamedTuple):
@@ -52,14 +51,12 @@ def equispaced_points(n: int) -> list[float]:
     return [-1.0 + 2.0 * j / n for j in range(n + 1)]
 
 
+_POINTS = {"chebyshev": chebyshev_points, "equispaced": equispaced_points}
+NODE_FAMILIES = tuple(_POINTS)
+
+
 def _node_set(n: int, family: str, confluency: int) -> NodeSet:
-    if family == "chebyshev":
-        pts = chebyshev_points(n)
-    elif family == "equispaced":
-        pts = equispaced_points(n)
-    else:
-        raise ValueError(f"unknown node family {family!r}")
-    return NodeSet(pts, [confluency] * (n + 1))
+    return NodeSet(_POINTS[family](n), [confluency] * (n + 1))
 
 
 def _grid() -> list[float]:

@@ -250,8 +250,9 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
     on it.  Construction is O(dim^2) once the g_i are known.  Floating
     rows are built one column block l at a time over all rows at once and
     then transposed, each entry with the operations, in order, and the
-    ``sum`` of an entry-by-entry loop.  Rational nodes form each entry from
-    integers as one Fraction, see ``_exact_row``.
+    ``sum`` of an entry-by-entry loop; the powers of t_i - t_l start at
+    the difference itself.  Rational nodes form each entry from integers
+    as one Fraction, see ``_exact_row``.
     """
     nodes = as_node_set(nodes)
     confs, one, zero = nodes.confluencies, one_of(nodes.field), zero_of(nodes.field)
@@ -262,10 +263,10 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
     else:
         g0s, cols = [g[0] for g in local], []
         for l, (tl, wl) in enumerate(zip(T, _weights_from_series(nodes, local).weights)):
-            # powers of c = t_i - t_l by repeated multiplication from c ** 0; c = 1 stands in at l
+            # powers of c = t_i - t_l by repeated multiplication; c = 1 stands in at l
             cs = [ti - tl for ti in T]
             cs[l] = one
-            ps = [c ** 0 * c for c in cs]
+            ps = cs
             qs = [list(map(truediv, g0s, ps))]
             for _ in range(1, len(wl)):
                 ps = list(map(mul, ps, cs))

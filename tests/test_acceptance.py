@@ -6,6 +6,7 @@ with ``pytest -rA``), and enforces the criterion's wall-clock budget.
 """
 
 import math
+import os
 import random
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import time
 from fractions import Fraction as F
 
+import polydiff
 from polydiff import (
     BernsteinBasis,
     DegreeGradedBasis,
@@ -412,7 +414,10 @@ def test_criterion_7_self_check_command():
     failures = []
     exe = shutil.which("polydiff")
     cmd = [exe, "verify"] if exe else [sys.executable, "-m", "polydiff", "verify"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    # the child imports the package these tests import, whether or not PYTHONPATH names it
+    src = os.path.dirname(os.path.dirname(polydiff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     if proc.returncode != 0:
         failures.append(f"exit code {proc.returncode}: {summary or proc.stderr.strip()}")

@@ -195,6 +195,10 @@ def test_absorb_negative_values():
     argv = ["weights", "--nodes", "@f", "--alpha", "-3"]
     assert _absorb_negative_values(argv) == ["weights", "--nodes", "@f", "--alpha=-3"]
     assert _absorb_negative_values(["--nodes"]) == ["--nodes"]
+    # a value may also start with parse_complex's imaginary unit, or be -inf
+    for value in ("-i,i", "-I,2I", "-1i,1i", "-inf,0"):
+        assert _absorb_negative_values(["--nodes", value, "--field", "complex"]) == [
+            f"--nodes={value}", "--field", "complex"]
 
 
 # ---------------------------------------------------------------- matrix command
@@ -242,6 +246,13 @@ def test_matrix_complex_lagrange(capsys):
         "matrix", "--basis", "lagrange", "--nodes", "1,i,-1,-i", "--field", "complex"])
     assert code == 0
     assert out.splitlines()[0] == "1.5+0.0i,-0.5+0.5i,-0.5+0.0i,-0.5-0.5i"
+
+
+def test_matrix_nodes_starting_with_minus_i(capsys):
+    argv = ["matrix", "--basis", "lagrange", "--field", "complex"]
+    want = run_cli(capsys, argv + ["--nodes=-i,i"])
+    assert want == (0, "0.0+0.5i,0.0-0.5i\n0.0+0.5i,0.0-0.5i\n", "")
+    assert run_cli(capsys, argv + ["--nodes", "-i,i"]) == want
 
 
 def test_matrix_json_schema(capsys):

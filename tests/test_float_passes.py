@@ -52,6 +52,22 @@ def _seeded_node_sets(rng):
     yield NodeSet([-0.0, 1.0, -1.0])
     yield NodeSet([0j, 1j, -1j, 2 + 0j, complex(-0.0, 3.0), complex(-2.0, -0.0)], [2, 1, 3, 1, 4, 2])
     yield NodeSet([1j, -1j, complex(0.0, -0.0), 0.5 + 0.5j])
+    yield from SIGNED_ZERO_SETS
+
+
+# The reference loop seeds each power with c ** 0 * c, which on two pairs of these
+# nodes flips the sign of a zero part of c = t_i - t_l; the package starts at c.
+# Complex division by c keeps every nonzero part whatever that sign, and ``sum``,
+# starting from the int 0, turns each -0.0 part into 0.0, so the entries must
+# agree.  Confluency 1 everywhere runs the Lagrange diagonal too.
+SIGNED_ZEROS = [complex(-0.0, -1.0), complex(0.0, 1.0), complex(1.0, -0.0), complex(-1.0, 0.0)]
+SIGNED_ZERO_SETS = (NodeSet(SIGNED_ZEROS, [1, 2, 3, 1]), NodeSet(SIGNED_ZEROS))
+
+
+def _node_set_id(ns):
+    if any(ns is s for s in SIGNED_ZERO_SETS):
+        return f"signed-zeros-{ns.dimension}"
+    return f"{ns.field.value}-{len(ns)}-{ns.dimension}"
 
 
 def _experiment_node_sets():
@@ -71,7 +87,7 @@ def test_the_node_sets_cover_what_the_passes_must_keep():
     assert max(len(ns) for ns in NODE_SETS) == 166
 
 
-@pytest.mark.parametrize("ns", NODE_SETS, ids=lambda ns: f"{ns.field.value}-{len(ns)}-{ns.dimension}")
+@pytest.mark.parametrize("ns", NODE_SETS, ids=_node_set_id)
 def test_hermite_weights_and_rows_equal_the_entry_loops(ns):
     want = orc.gen_bary_weights_by_series(ns)
     assert [_typed(row) for row in gen_bary_weights(ns).weights] == [_typed(row) for row in want]
