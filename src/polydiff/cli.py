@@ -48,18 +48,26 @@ def parse_complex(s: str) -> complex:
     return complex(t[:-1] + "j" if t.endswith(("i", "I")) else t)
 
 
+_EXPONENT = re.compile(r"[-+]?[\d_.]*[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
 def parse_scalar(s: str, field: Field):
+    tok, limit = s.strip(), sys.get_int_max_str_digits()
+    # Python turns no more than ``limit`` digits of text into an integer, and
+    # Fraction expands an exponent e into 10 ** |e|: one past ``limit`` is refused first
+    exp = field is Field.RATIONAL and _EXPONENT.match(tok)
+    too_long = 0 < limit < (float(exp[1]) if exp else 0)
     try:
+        if too_long:
+            raise ValueError("exponent past the digit limit")
         if field is Field.RATIONAL:
             return Fraction(s)
         if field is Field.REAL:
             return float(s)
         return parse_complex(s)
     except (ValueError, ZeroDivisionError) as exc:
-        tok, limit = s.strip(), sys.get_int_max_str_digits()
         shown = tok if len(tok) <= 40 else tok[:40] + "..."
-        # Python turns no more than ``limit`` digits of text into an integer
-        too_long = field is Field.RATIONAL and 0 < limit < sum(map(str.isdecimal, tok))
+        too_long = too_long or field is Field.RATIONAL and 0 < limit < sum(map(str.isdecimal, tok))
         why = f" (it has more than {limit} digits)" if too_long else ""
         raise UsageError(f"cannot parse {shown!r} as a {field.value} scalar{why}") from exc
 
@@ -326,11 +334,11 @@ _VALUE_FLAGS = ("--nodes", "--alpha", "--beta", "--gamma")
 
 
 def _absorb_negative_values(argv: list[str]) -> list[str]:
-    """Turn ``--nodes -1,0,1`` or ``--nodes -i,i`` into ``--nodes=...`` so argparse accepts it."""
+    """Turn ``--nodes -1,0,1`` (or ``-i,i``, ``-nan,0``) into ``--nodes=...`` so argparse accepts it."""
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and re.match(r"-[\d.iI]", argv[i + 1]):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv) and re.match(r"-[\d.iInN]", argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -161,7 +161,7 @@ class DenseMatrix:
 
     @classmethod
     def from_rows(cls, rows, field: Field | None = None) -> "DenseMatrix":
-        rows = [list(r) for r in rows]
+        rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
         n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
@@ -308,10 +308,6 @@ class DegreeGradedBasis:
     def dimension(self) -> int:
         return self.degree + 1
 
-    @property
-    def field(self) -> Field:
-        return self.recurrence.field
-
     def __repr__(self):
         return f"DegreeGradedBasis({self.name}, degree={self.degree})"
 
@@ -327,10 +323,6 @@ class HermiteBasis:
     @property
     def dimension(self) -> int:
         return self.nodes.dimension
-
-    @property
-    def field(self) -> Field:
-        return self.nodes.field
 
     def __repr__(self):
         return f"{type(self).__name__}({self.nodes!r})"
@@ -360,10 +352,6 @@ class BernsteinBasis:
     @property
     def dimension(self) -> int:
         return self.degree + 1
-
-    @property
-    def field(self) -> Field:
-        return Field.RATIONAL
 
     def __repr__(self):
         return f"BernsteinBasis(degree={self.degree})"
@@ -423,20 +411,14 @@ def promote_matrix(M: DenseMatrix, field: Field) -> DenseMatrix:
     return M if M.field is field else DenseMatrix(M.rows, M.cols, M.entries, field)
 
 
-def approx_equal(a, b, tol: float = 1e-10) -> bool:
-    """Elementwise |a - b| <= tol * max(1, largest magnitude on either side).
+def approx_equal(a: DenseMatrix, b: DenseMatrix, tol: float = 1e-10) -> bool:
+    """Entrywise |a - b| <= tol * max(1, largest magnitude on either side).
 
     Two rational matrices compare exactly, whatever ``tol`` is.
     """
-    if isinstance(a, DenseMatrix) and isinstance(b, DenseMatrix):
-        if (a.rows, a.cols) != (b.rows, b.cols):
-            return False
-        if a.field is b.field is Field.RATIONAL:
-            return a.entries == b.entries
-        xs, ys = a.entries, b.entries
-    else:
-        xs, ys = tuple(a), tuple(b)
-        if len(xs) != len(ys):
-            return False
-    scale = max([1.0] + [abs(x) for x in xs] + [abs(y) for y in ys])
-    return all(abs(x - y) <= tol * scale for x, y in zip(xs, ys))
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        return False
+    if a.field is b.field is Field.RATIONAL:
+        return a.entries == b.entries
+    scale = max([1.0] + [abs(x) for x in a.entries] + [abs(y) for y in b.entries])
+    return all(abs(x - y) <= tol * scale for x, y in zip(a.entries, b.entries))

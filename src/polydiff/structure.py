@@ -40,7 +40,7 @@ def monomial_images(basis) -> DenseMatrix:
     """Matrix M whose column k holds the coefficients of x^k in the basis."""
     dim = basis.dimension
     if isinstance(basis, DegreeGradedBasis):
-        zero, cols = zero_of(basis.field), [[one_of(basis.field)]]
+        zero, cols = zero_of(basis.recurrence.field), [[one_of(basis.recurrence.field)]]
         for _ in range(dim - 1):
             cols.append(multiply_by_x(basis.recurrence, cols[-1]))
         cols = [tuple(c) + (zero,) * (dim - len(c)) for c in cols]

@@ -103,6 +103,16 @@ def test_parse_scalar_per_field():
         parse_scalar("1+i", Field.REAL)
 
 
+def test_parse_scalar_bounds_an_exact_exponent_by_the_digit_limit():
+    # 1e5000 is the same number as a 1 followed by 5000 zeros, refused the same way
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e5000", "1" + "0" * 5000, "2.5E-5_000"):
+        with pytest.raises(UsageError, match=f"more than {limit} digits"):
+            parse_scalar(text, Field.RATIONAL)
+    assert parse_scalar(f"1e{limit}", Field.RATIONAL) == 10 ** limit
+    assert parse_scalar("1e5000", Field.REAL) == float("inf")
+
+
 def test_format_scalar():
     assert format_scalar(Fraction(3, 4)) == "3/4"
     assert format_scalar(Fraction(5)) == "5"
@@ -195,8 +205,8 @@ def test_absorb_negative_values():
     argv = ["weights", "--nodes", "@f", "--alpha", "-3"]
     assert _absorb_negative_values(argv) == ["weights", "--nodes", "@f", "--alpha=-3"]
     assert _absorb_negative_values(["--nodes"]) == ["--nodes"]
-    # a value may also start with parse_complex's imaginary unit, or be -inf
-    for value in ("-i,i", "-I,2I", "-1i,1i", "-inf,0"):
+    # a value may also start with parse_complex's imaginary unit, or be -inf or -nan
+    for value in ("-i,i", "-I,2I", "-1i,1i", "-inf,0", "-nan,0", "-NaN,1"):
         assert _absorb_negative_values(["--nodes", value, "--field", "complex"]) == [
             f"--nodes={value}", "--field", "complex"]
 
@@ -253,6 +263,13 @@ def test_matrix_nodes_starting_with_minus_i(capsys):
     want = run_cli(capsys, argv + ["--nodes=-i,i"])
     assert want == (0, "0.0+0.5i,0.0-0.5i\n0.0+0.5i,0.0-0.5i\n", "")
     assert run_cli(capsys, argv + ["--nodes", "-i,i"]) == want
+
+
+def test_matrix_nodes_starting_with_minus_nan(capsys):
+    argv = ["matrix", "--basis", "lagrange", "--field", "real"]
+    want = run_cli(capsys, argv + ["--nodes=-nan,0"])
+    assert want == (2, "", "polydiff: error: nodes must be finite numbers\n")
+    assert run_cli(capsys, argv + ["--nodes", "-nan,0"]) == want
 
 
 def test_matrix_json_schema(capsys):
@@ -487,6 +504,14 @@ def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     limit = sys.get_int_max_str_digits()
     if any(len(v) > limit for v in values):
         assert f"more than {limit} digits" in err
+
+
+def test_exact_exponent_past_the_digit_limit_exits_2(capsys):
+    # refused while parsing, before Fraction expands 10 ** 5000
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, ["weights", "--nodes", "1e5000,0"]) == (
+        2, "", f"polydiff: error: cannot parse '1e5000' as a rational scalar "
+               f"(it has more than {limit} digits)\n")
 
 
 def test_finite_output_with_overflowing_sum_exits_0(capsys):

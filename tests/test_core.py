@@ -340,7 +340,7 @@ def test_as_node_set_passthrough():
 
 def test_basis_descriptors():
     dg = DegreeGradedBasis(monomial_recurrence(3), 3, name="monomial")
-    assert dg.dimension == 4 and dg.field is Field.RATIONAL
+    assert dg.dimension == 4 and dg.recurrence.field is Field.RATIONAL
     assert LagrangeBasis([0, 1]).dimension == 2
     assert BernsteinBasis(4).dimension == 5
     with pytest.raises(ValueError):
@@ -354,8 +354,10 @@ def test_basis_descriptors():
 # ---------------------------------------------------------------- approx
 
 def test_approx_equal_scales_by_magnitude():
-    assert approx_equal([1e10, 0.0], [1e10 + 1.0, 0.0], tol=1e-9)
-    assert not approx_equal([1.0, 0.0], [1.0, 1e-3], tol=1e-9)
+    assert approx_equal(DenseMatrix.from_rows([[1e10, 0.0]]),
+                        DenseMatrix.from_rows([[1e10 + 1.0, 0.0]]), tol=1e-9)
+    assert not approx_equal(DenseMatrix.from_rows([[1.0, 0.0]]),
+                            DenseMatrix.from_rows([[1.0, 1e-3]]), tol=1e-9)
     A = DenseMatrix.from_rows([[1.0]])
     assert approx_equal(A, DenseMatrix.from_rows([[1.0 + 1e-12]]))
     assert not approx_equal(A, DenseMatrix.zeros(2, 1))
