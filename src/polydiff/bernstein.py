@@ -12,21 +12,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import DenseMatrix, Field, mat_inf_norm, mat_power
+from .core import DenseMatrix, mat_inf_norm, mat_power
 
 
 def diff_matrix_bernstein(n: int) -> DenseMatrix:
     """Tridiagonal differentiation matrix for the degree-n Bernstein basis."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        if i >= 1:
-            rows[i][i - 1] = Fraction(-i)
-        rows[i][i] = Fraction(2 * i - n)
-        if i + 1 <= n:
-            rows[i][i + 1] = Fraction(n - i)
-    return DenseMatrix.from_rows(rows, Field.RATIONAL)
+    # row i of a matrix padded with one zero column on each side
+    return DenseMatrix._from_ints(n + 1, [(1, ([0] * i + [-i, 2 * i - n, n - i] + [0] * (n - i))[1:-1])
+                                          for i in range(n + 1)])
 
 
 def monomial_in_bernstein(n: int, k: int) -> tuple:

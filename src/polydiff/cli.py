@@ -135,14 +135,14 @@ def matrix_to_csv(M: DenseMatrix) -> str:
 
 
 def matrix_to_json(M: DenseMatrix, basis_name: str) -> str:
-    fmt = _FORMATTERS[M.field]
-    obj = {
-        "basis": basis_name,
-        "dimension": M.rows,
-        "field": M.field.value,
-        "entries": [list(map(fmt, M.row(i))) for i in range(M.rows)],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The text of ``json.dumps(record, indent=2)``, joined from one encoded row at a time:
+    the row's separator quotes each text on its own line, where indent=2 places it."""
+    fmt, encode = _FORMATTERS[M.field], json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    rows = ",\n    ".join(f"[\n      {encode(list(map(fmt, M.row(i))))[1:-1]}\n    ]"
+                          if M.cols else "[]" for i in range(M.rows))
+    entries = f"[\n    {rows}\n  ]" if M.rows else "[]"
+    return (f'{{\n  "basis": {json.dumps(basis_name)},\n  "dimension": {M.rows},\n'
+            f'  "field": {json.dumps(M.field.value)},\n  "entries": {entries}\n}}\n')
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -93,22 +93,9 @@ def _integer_scaled(xs) -> tuple[int, list[int]]:
 
 
 def _dot_products(rows, cols, field: Field) -> list:
-    """Dot product of every row with every column, row-major, in ``field``.
-
-    Rationals run over integers: each column, and each row while its own
-    entries are formed, is cleared of its denominators once, every dot
-    product is an integer sum and every entry one ``Fraction``.  Floating
-    fields sum left to right from zero.
-    """
-    if field is not Field.RATIONAL:
-        zero = zero_of(field)
-        return [sum(map(mul, row, col), zero) for row in rows for col in cols]
-    cols = [_integer_scaled(col) for col in cols]
-    out = []
-    for row in rows:
-        li, ri = _integer_scaled(row)
-        out += [Fraction(sum(map(mul, ri, cj)), li * lj) for lj, cj in cols]
-    return out
+    """Every row dotted with every column, row-major, summed left to right from zero."""
+    zero = zero_of(field)
+    return [sum(map(mul, row, col), zero) for row in rows for col in cols]
 
 
 def all_finite(field: Field, values) -> bool:
@@ -137,13 +124,18 @@ class DenseMatrix:
     when the contents would allow it.  Construction checks the entry
     types in one pass over ``map(type, entries)`` and coerces, in one
     more pass, only when some entry is not of the field's own type.
-    Products and ``mat_apply`` share one dot-product kernel: over
-    rationals it clears each row of the left factor and each column of
-    the right one of its denominators once, sums integers and forms one
-    ``Fraction`` per entry; floating products sum left to right from zero.
+
+    A rational matrix is also held as integer rows: row i is (den, nums),
+    entries nums[j] / den, with den > 0 and gcd(den, *nums) = 1, so a zero
+    row has den 1 and equal matrices have equal rows.  The exact kernels
+    (products, ``mat_apply``, ``mat_inf_norm``, ``==``, ``approx_equal`` and
+    ``structure.py``) read and build only that form.  A matrix built from
+    entries gets its rows on the first such read; one built by a kernel
+    forms one ``Fraction`` per entry on the first read of ``entries``,
+    indexing, ``row``, ``column``, hashing or output.  Both forms are cached.
     """
 
-    __slots__ = ("rows", "cols", "field", "entries")
+    __slots__ = ("rows", "cols", "field", "_entries", "_ints")
 
     def __init__(self, rows: int, cols: int, entries, field: Field | None = None):
         entries = tuple(entries)
@@ -157,7 +149,32 @@ class DenseMatrix:
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.entries = entries
+        self._entries = entries
+        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, cols: int, int_rows) -> "DenseMatrix":
+        """Rational matrix from rows (den, nums), den != 0, each over gcd(den, *nums) so den > 0."""
+        M, rows = cls.__new__(cls), []
+        for den, nums in int_rows:
+            g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+            rows.append((den, nums) if g == 1 else (den // g, [x // g for x in nums]))
+        M.rows, M.cols, M.field, M._entries, M._ints = len(rows), cols, Field.RATIONAL, None, rows
+        return M
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            zero = Fraction(0)   # immutable, so one object serves every zero entry
+            self._entries = tuple([(Fraction(x, den) if den > 1 else Fraction(x)) if x else zero
+                                   for den, nums in self._ints for x in nums])
+        return self._entries
+
+    def _int_rows(self) -> list:
+        """Integer rows of a rational matrix; from the entries, row by row, on first use."""
+        if self._ints is None:
+            self._ints = [_integer_scaled(self.row(i)) for i in range(self.rows)]
+        return self._ints
 
     @classmethod
     def from_rows(cls, rows, field: Field | None = None) -> "DenseMatrix":
@@ -184,9 +201,13 @@ class DenseMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside {self.rows}x{self.cols}")
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
         return self.entries[j::self.cols]
 
     def to_rows(self) -> list[list]:
@@ -197,9 +218,19 @@ class DenseMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
             field = join_fields(self.field, other.field)
-            out = _dot_products(map(self.row, range(self.rows)),
-                                [other.column(j) for j in range(other.cols)], field)
-            return DenseMatrix(self.rows, other.cols, out, field)
+            if field is not Field.RATIONAL:
+                out = _dot_products(map(self.row, range(self.rows)),
+                                    [other.column(j) for j in range(other.cols)], field)
+                return DenseMatrix(self.rows, other.cols, out, field)
+            dens = [d for d, _ in other._int_rows()]
+            cols = list(zip(*[r for _, r in other._int_rows()])) or [()] * other.cols
+            out = []
+            for den, row in self._int_rows():
+                # the right factor's row denominators join this row's, over the rows it uses
+                lcm = math.lcm(*[d for x, d in zip(row, dens) if x])
+                coef = [x * (lcm // d) for x, d in zip(row, dens)]
+                out.append((den * lcm, [sum(map(mul, coef, col)) for col in cols]))
+            return DenseMatrix._from_ints(other.cols, out)
         # scalar
         field = join_fields(self.field, field_of(other))
         return DenseMatrix(self.rows, self.cols, [e * other for e in self.entries], field)
@@ -210,8 +241,11 @@ class DenseMatrix:
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for a, b in zip(self.entries, other.entries))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self.field is other.field is Field.RATIONAL:
+            return self._int_rows() == other._int_rows()
+        return all(a == b for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -367,13 +401,18 @@ def mat_apply(M: DenseMatrix, v) -> tuple:
     if M.cols != len(coeffs):
         raise ValueError(f"matrix has {M.cols} columns, vector has {len(coeffs)} entries")
     field = join_fields(M.field, *(field_of(c) for c in coeffs))
-    return tuple(_dot_products(map(M.row, range(M.rows)), [coeffs], field))
+    if field is not Field.RATIONAL:
+        return tuple(_dot_products(map(M.row, range(M.rows)), [coeffs], field))
+    L, v = _integer_scaled(coeffs)
+    return tuple([Fraction(sum(map(mul, nums, v)), den * L) for den, nums in M._int_rows()])
 
 
 def mat_inf_norm(M: DenseMatrix):
     """Max absolute row sum.  Exact (a Fraction) on rational matrices."""
     if M.rows == 0:
         return zero_of(Field.RATIONAL)
+    if M.field is Field.RATIONAL:
+        return max(Fraction(sum(map(abs, nums)), den) for den, nums in M._int_rows())
     return max(sum(abs(e) for e in M.row(i)) for i in range(M.rows))
 
 
@@ -419,6 +458,6 @@ def approx_equal(a: DenseMatrix, b: DenseMatrix, tol: float = 1e-10) -> bool:
     if (a.rows, a.cols) != (b.rows, b.cols):
         return False
     if a.field is b.field is Field.RATIONAL:
-        return a.entries == b.entries
+        return a._int_rows() == b._int_rows()
     scale = max([1.0] + [abs(x) for x in a.entries] + [abs(y) for y in b.entries])
     return all(abs(x - y) <= tol * scale for x, y in zip(a.entries, b.entries))

@@ -203,12 +203,8 @@ def chebyshev_diff_matrix(n: int) -> DenseMatrix:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    D = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for j in range((k - 1) // 2 + 1):
-            r = k - 1 - 2 * j
-            D[r][k] = Fraction(2 * k) if r > 0 else Fraction(k)
-    return DenseMatrix.from_rows(D, Field.RATIONAL)
+    return DenseMatrix._from_ints(n + 1, [(1, [(2 * k if r else k) if k > r and (k - r) % 2 else 0
+                                              for k in range(n + 1)]) for r in range(n + 1)])
 
 
 def chebyshev_antideriv_matrix(n: int) -> DenseMatrix:

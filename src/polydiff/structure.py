@@ -16,7 +16,6 @@ basis-change matrix M whose columns are the monomial images x^k.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .core import (
@@ -26,7 +25,6 @@ from .core import (
     Field,
     HermiteBasis,
     SingularMatrixError,
-    _integer_scaled,
     approx_equal,
     one_of,
     zero_of,
@@ -44,6 +42,12 @@ def monomial_images(basis) -> DenseMatrix:
         for _ in range(dim - 1):
             cols.append(multiply_by_x(basis.recurrence, cols[-1]))
         cols = [tuple(c) + (zero,) * (dim - len(c)) for c in cols]
+    elif isinstance(basis, HermiteBasis) and basis.nodes.field is Field.RATIONAL:
+        # row (i, j) holds C(k, j) t_i^(k-j) = C(k, j) p^(k-j) q^(e-k) / q^e, t_i = p/q, e = dim-1-j
+        nodes = basis.nodes
+        return DenseMatrix._from_ints(dim, [(t.denominator ** (dim - 1 - j), [
+            math.comb(k, j) * t.numerator ** (k - j) * t.denominator ** (dim - 1 - k) if k >= j else 0
+            for k in range(dim)]) for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s)])
     elif isinstance(basis, HermiteBasis):   # LagrangeBasis too: confluency 1
         cols = [monomial_data(basis.nodes, k) for k in range(dim)]
     elif isinstance(basis, BernsteinBasis):
@@ -58,6 +62,10 @@ def build_V(M: DenseMatrix) -> DenseMatrix:
     if M.rows != M.cols:
         raise ValueError("need a square matrix of monomial images")
     facts = [math.factorial(k) for k in range(M.cols)]
+    if M.field is Field.RATIONAL:   # entry k times F / k! over the row's den times F = (n-1)!
+        F = math.factorial(max(M.cols - 1, 0))
+        return DenseMatrix._from_ints(M.cols, [(d * F, [x * (F // f) for x, f in zip(r, facts)])
+                                               for d, r in M._int_rows()])
     return DenseMatrix(M.rows, M.cols,
                        [c / f for r in range(M.rows) for c, f in zip(M.row(r), facts)])
 
@@ -65,6 +73,9 @@ def build_V(M: DenseMatrix) -> DenseMatrix:
 def _shift_columns(M: DenseMatrix, step: int) -> DenseMatrix:
     """M J for step 1 and M J^T for step -1, without a product: M shifted
     one column right or left, the vacated column zero."""
+    if M.field is Field.RATIONAL:
+        return DenseMatrix._from_ints(M.cols, [(d, ([0] + r)[:M.cols] if step > 0 else (r + [0])[1:])
+                                               for d, r in M._int_rows()])
     pad = (zero_of(M.field),)
     return DenseMatrix(M.rows, M.cols, [e for i in range(M.rows) for e in (
         pad + M.row(i)[:-1] if step > 0 else M.row(i)[1:] + pad)], M.field)
@@ -88,7 +99,7 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
     n = M.rows
     exact = M.field is Field.RATIONAL
     one, zero = (1, 0) if exact else (one_of(M.field), zero_of(M.field))
-    scaled = [_integer_scaled(M.row(i)) if exact else (1, list(M.row(i))) for i in range(n)]
+    scaled = M._int_rows() if exact else [(1, list(M.row(i))) for i in range(n)]
     a = [row + [one if i == j else zero for j in range(n)] for i, (_, row) in enumerate(scaled)]
     for col in range(n):
         if exact:
@@ -113,8 +124,8 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
                 else:
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     if exact:
-        return DenseMatrix(n, n, [Fraction(row[n + j] * L, row[i]) for i, row in enumerate(a)
-                                  for j, (L, _) in enumerate(scaled)], Field.RATIONAL)
+        return DenseMatrix._from_ints(n, [(row[i], [x * L for x, (L, _) in zip(row[n:], scaled)])
+                                          for i, row in enumerate(a)])
     return DenseMatrix.from_rows([row[n:] for row in a], M.field)
 
 
@@ -155,16 +166,16 @@ def _reduced_product(X, Y) -> list:
 def nilpotency_index(D: DenseMatrix) -> int:
     """Smallest k with D^k = 0, over integers; requires the exact rational field.
 
-    Squares A = L D (A, A^2, A^4, ...) until a power vanishes, then builds
-    the largest nonzero power A^e from the stored squares, largest first:
-    O(log n) products, each divided by its content, which keeps zero zero.
+    Squares A = L D, L the lcm of its row denominators, until a power
+    vanishes, then builds the largest nonzero power A^e from the squares,
+    largest first: O(log n) products, each divided by its content, which keeps zero zero.
     """
     if D.rows != D.cols:
         raise ValueError("nilpotency is a property of square matrices")
     if D.field is not Field.RATIONAL:
         raise ValueError("nilpotency index needs the exact rational field")
-    n, (_, a) = D.rows, _integer_scaled(D.entries)
-    squares = [[a[i * n:(i + 1) * n] for i in range(n)]]   # A^(2^j), each up to a factor
+    n, L = D.rows, math.lcm(*(d for d, _ in D._int_rows()))
+    squares = [[[x * (L // d) for x in r] for d, r in D._int_rows()]]   # A^(2^j), each up to a factor
     while any(map(any, squares[-1])):
         if 2 ** (len(squares) - 1) >= n:
             raise ArithmeticError("matrix is not nilpotent within its dimension")
@@ -187,5 +198,7 @@ def conjugation_oracle(basis) -> DenseMatrix:
     """
     M = monomial_images(basis)
     MJ, n = _shift_columns(M, 1), M.rows
-    MD = DenseMatrix(n, n, [k * e for i in range(n) for k, e in enumerate(MJ.row(i))], M.field)
+    MD = (DenseMatrix._from_ints(n, [(d, list(map(mul, range(n), r))) for d, r in MJ._int_rows()])
+          if M.field is Field.RATIONAL else
+          DenseMatrix(n, n, [k * e for i in range(n) for k, e in enumerate(MJ.row(i))], M.field))
     return MD * invert_matrix(M)

@@ -290,6 +290,13 @@ def diff_matrix_lagrange_by_entries(nodes):
     return rows
 
 
+def matmul_by_fractions(A, B, cols):
+    """A B over Fractions for lists of rows, B having ``cols`` columns: each entry
+    a sum from Fraction(0), one Fraction product at a time."""
+    columns = [[row[j] for row in B] for j in range(cols)]
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in columns] for row in A]
+
+
 def mat_power_by_products(rows, k):
     """rows^k as the package formed it before: I, then k products with the matrix, over Fractions."""
     n = len(rows)

@@ -145,6 +145,17 @@ def test_matrix_text_is_the_per_entry_format_scalar_join(values):
     assert json.loads(matrix_to_json(M, "b"))["entries"] == rows
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 0), (2, 7)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("values", FORMAT_CASES, ids=["rational", "real", "complex"])
+def test_matrix_json_is_the_text_of_the_indented_dump(values, shape):
+    n, m = shape
+    M = DenseMatrix(n, m, (values * n * m)[:n * m], DenseMatrix(1, len(values), values).field)
+    for name in ("lagrange", 'quo"te \\ caf\u00e9'):
+        record = {"basis": name, "dimension": n, "field": M.field.value,
+                  "entries": [[format_scalar(e) for e in M.row(i)] for i in range(n)]}
+        assert matrix_to_json(M, name) == json.dumps(record, indent=2) + "\n"
+
+
 def test_matrix_text_refuses_an_entry_past_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     M = DenseMatrix(1, 2, [Fraction(1, 2), Fraction(1, 10 ** limit)])

@@ -1,5 +1,6 @@
 """Field promotion rules, dense matrices, matrix-vector products, and node sets."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,11 @@ def test_matrix_construction_and_indexing():
     assert M.to_rows() == [[1, 2, 3], [4, 5, 6]]
     with pytest.raises(IndexError):
         M[2, 0]
+    # rows and columns outside the matrix are refused like entries, never sliced from a neighbour
+    for outside in (lambda: M.row(2), lambda: M.row(-1), lambda: M.column(3),
+                    lambda: M.column(-1), lambda: M.column(5)):
+        with pytest.raises(IndexError, match="outside 2x3"):
+            outside()
     with pytest.raises(ValueError):
         DenseMatrix(2, 2, [1, 2, 3])
 
@@ -183,8 +189,11 @@ def test_floating_products_sum_left_to_right():
     def rational():
         return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
 
-    cases = [(real, real), (lambda: complex(real(), real()), lambda: complex(real(), real())),
-             (rational, real), (real, rational)]
+    def cplx():
+        return complex(real(), real())
+
+    cases = [(real, real), (cplx, cplx), (rational, real), (real, rational),
+             (rational, cplx), (cplx, rational)]
     for left, right in cases:
         for n, k, m in ((4, 7, 3), (1, 9, 1), (3, 0, 2), (0, 3, 2)):
             A = DenseMatrix(n, k, [left() for _ in range(n * k)])
@@ -197,6 +206,88 @@ def test_floating_products_sum_left_to_right():
             v = [right() for _ in range(k)]
             want = [sum((a * b for a, b in zip(A.row(i), v)), zero) for i in range(n)]
             assert [repr(e) for e in mat_apply(A, v)] == [repr(e) for e in want]
+
+
+def _rational_matrix(rng, rows, cols):
+    """Zeros, small fractions and large ones, drawn with negative denominators too."""
+    def entry():
+        r = rng.random()
+        if r < 0.25:
+            return 0
+        if r < 0.6:
+            return Fraction(rng.randint(-9, 9), rng.choice([-1, 1]) * rng.randint(1, 9))
+        return Fraction(rng.randint(-10**12, 10**12), rng.choice([-1, 1]) * rng.randint(1, 10**15))
+    return DenseMatrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+def _typed(values):
+    return [(type(x), repr(x)) for x in values]
+
+
+def _integer_form(M):
+    """The same matrix, built by a product: integer rows only, no entries yet."""
+    return M * DenseMatrix.identity(M.cols)
+
+
+def test_integer_rows_are_canonical():
+    rng = random.Random(161)
+    zero_rows = DenseMatrix.from_rows([[Fraction(1, 2), 0], [Fraction(-3, 4), 0]]) * \
+        DenseMatrix.from_rows([[0, 0], [Fraction(5, 7), 1]])
+    built = [DenseMatrix.zeros(2, 3), zero_rows, diff_matrix_bernstein(5)]
+    for _ in range(80):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        A, B, S = _rational_matrix(rng, n, k), _rational_matrix(rng, k, m), _rational_matrix(rng, n, n)
+        built += [A, A * B, mat_power(S, rng.randint(0, 3)), A * DenseMatrix.zeros(k, m)]
+    for M in built:
+        assert len(M._int_rows()) == M.rows
+        for den, nums in M._int_rows():
+            assert den > 0 and math.gcd(den, *nums) == 1 and len(nums) == M.cols
+            assert any(nums) or den == 1
+    assert [den for den, _ in zero_rows._int_rows()] == [1, 1]
+
+
+def test_products_of_empty_and_unit_shapes():
+    rng = random.Random(162)
+    for n, k, m in [(0, 0, 0), (1, 1, 1), (3, 0, 2), (0, 3, 2), (2, 3, 0), (0, 0, 4)]:
+        A, B = _rational_matrix(rng, n, k), _rational_matrix(rng, k, m)
+        want = [x for row in orc.matmul_by_fractions(A.to_rows(), B.to_rows(), m) for x in row]
+        for left in (A, _integer_form(A)):
+            C = left * B
+            assert (C.rows, C.cols, C.field) == (n, m, Field.RATIONAL)
+            assert _typed(C.entries) == _typed(want)
+
+
+def test_equality_and_hash_agree_between_entries_and_integer_rows():
+    rng = random.Random(163)
+    for _ in range(40):
+        n, k = rng.randint(0, 5), rng.randint(0, 5)
+        # dyadic entries, so that the float matrix is equal too
+        entries = [Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 8)) for _ in range(n * k)]
+        A, F = DenseMatrix(n, k, entries), DenseMatrix(n, k, [float(x) for x in entries])
+        K = _integer_form(DenseMatrix(n, k, entries))
+        assert A == K and K == A and hash(A) == hash(K)
+        assert K == F and F == K and hash(K) == hash(F)
+        if entries:
+            other = _integer_form(DenseMatrix(n, k, entries[:-1] + [entries[-1] + Fraction(1, 3)]))
+            assert K != other and other != A and not approx_equal(A, other)
+
+
+def test_exact_kernels_agree_with_fraction_references():
+    rng = random.Random(164)
+    for _ in range(60):
+        n, k, m = (rng.randint(0, 7) for _ in range(3))
+        A, B, S = _rational_matrix(rng, n, k), _rational_matrix(rng, k, m), _rational_matrix(rng, n, n)
+        v = list(_rational_matrix(rng, 1, k).entries)
+        product = [x for row in orc.matmul_by_fractions(A.to_rows(), B.to_rows(), m) for x in row]
+        applied = [row[0] for row in orc.matmul_by_fractions(A.to_rows(), [[x] for x in v], 1)]
+        norm = max((sum((abs(x) for x in row), Fraction(0)) for row in A.to_rows()), default=Fraction(0))
+        e = rng.randint(0, 4)
+        power = [x for row in orc.mat_power_by_products(S.to_rows(), e) for x in row]
+        for left, square in ((A, S), (_integer_form(A), _integer_form(S))):
+            assert _typed((left * B).entries) == _typed(product)
+            assert _typed(mat_apply(left, v)) == _typed(applied)
+            assert _typed([mat_inf_norm(left)]) == _typed([norm])
+            assert _typed(mat_power(square, e).entries) == _typed(power)
 
 
 def test_bernstein_thirty_nilpotency_index():

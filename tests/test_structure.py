@@ -1,5 +1,6 @@
 """Similarity to the Jordan block, generalized inverses, and the oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -404,6 +405,45 @@ def test_nilpotency_index_on_seeded_nilpotent_matrices():
                       orc.nilpotency_index_by_powers):
             with pytest.raises(ArithmeticError):
                 index(rows)
+
+
+def _typed(values):
+    return [(type(x), repr(x)) for x in values]
+
+
+def test_structure_kernels_agree_with_fraction_references_on_both_forms():
+    """Each kernel gives the plain-Fraction reference, by type and repr, on a matrix
+    built from Fractions and on the same matrix built by a product (integer rows only)."""
+    rng = random.Random(16)
+    for _ in range(200):
+        _, rows = _random_exact_matrix(rng, rng.randint(0, 8))
+        rows, n = [[Fraction(x) for x in row] for row in rows], len(rows)
+        right = [x for row in rows for x in ([Fraction(0)] + row)[:n]]
+        left = [x for row in rows for x in (row + [Fraction(0)])[1:]]
+        V = [x / math.factorial(k) for row in rows for k, x in enumerate(row)]
+        try:
+            inverse = [x for row in orc.gauss_jordan_inverse(rows) for x in row]
+        except SingularMatrixError:
+            inverse = None
+        for M in (DenseMatrix(n, n, [x for row in rows for x in row]),
+                  DenseMatrix(n, n, [x for row in rows for x in row]) * DenseMatrix.identity(n)):
+            # == compares the canonical integer rows before the entries are read
+            for got, want in ((_shift_columns(M, 1), right), (_shift_columns(M, -1), left),
+                              (build_V(M), V)):
+                assert got == DenseMatrix(n, n, want) and _typed(got.entries) == _typed(want)
+            if inverse is None:
+                with pytest.raises(SingularMatrixError):
+                    invert_matrix(M)
+            else:
+                got = invert_matrix(M)
+                assert got == DenseMatrix(n, n, inverse) and _typed(got.entries) == _typed(inverse)
+    for n in range(1, 9):
+        index = rng.randint(1, n)
+        c = Fraction(rng.randint(1, 10**12), -rng.randint(1, 10**15))   # keeps the index
+        rows = [[c * x for x in row] for row in _seeded_nilpotent(rng, n, index)]
+        M = DenseMatrix.from_rows(rows)
+        for X in (M, M * DenseMatrix.identity(n)):
+            assert nilpotency_index(X) == orc.nilpotency_index_by_powers(rows) == index
 
 
 def test_nilpotency_index_equals_linear_powers_on_every_family():
