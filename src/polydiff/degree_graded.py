@@ -161,6 +161,29 @@ def _integer_rows(rec: RecurrenceSpec, n: int) -> list:
     return rows
 
 
+def _monomial_rows(rec: RecurrenceSpec, dim: int) -> list:
+    """Integer rows (den, nums) of the images x^0 .. x^(dim-1), column k of M being x^k.
+
+    Column k is integers N_k over e_k; column k+1 is x N_k by A, B, G over
+    e_k L, divided by its content.  Row i sits over the lcm of the e_k it uses.
+    """
+    n = dim - 1
+    L, abg = _integer_scaled(rec.alpha[:n] + rec.beta[:n] + rec.gamma[:n])
+    A, B, G = [0] + abg[:n], abg[n:2 * n] + [0], abg[2 * n + 1:3 * n] + [0, 0]
+    cols = [([1], 1)]
+    for _ in range(n):
+        N, e = cols[-1]
+        Z = [0, *N, 0, 0]   # entry j of x N: A_(j-1) N_(j-1) + B_j N_j + G_(j+1) N_(j+1)
+        X = [a * x + b * y + g * z for a, x, b, y, g, z in zip(A, Z, B, Z[1:], G, Z[2:])]
+        k = math.gcd(e * L, *X)
+        cols.append(([x // k for x in X], e * L // k))
+    rows = []
+    for i in range(dim):
+        den = math.lcm(*[e for N, e in cols[i:] if N[i]])
+        rows.append((den, [0] * i + [N[i] and N[i] * (den // e) for N, e in cols[i:]]))
+    return rows
+
+
 def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
     """Differentiation matrix of dimension n + 1 for a degree-graded basis.
 

@@ -30,14 +30,16 @@ from .core import (
     zero_of,
 )
 from .bernstein import monomial_in_bernstein
-from .degree_graded import multiply_by_x
+from .degree_graded import _monomial_rows, multiply_by_x
 from .hermite import monomial_data
 
 
 def monomial_images(basis) -> DenseMatrix:
     """Matrix M whose column k holds the coefficients of x^k in the basis."""
     dim = basis.dimension
-    if isinstance(basis, DegreeGradedBasis):
+    if isinstance(basis, DegreeGradedBasis) and basis.recurrence.field is Field.RATIONAL:
+        return DenseMatrix._from_ints(dim, _monomial_rows(basis.recurrence, dim))
+    elif isinstance(basis, DegreeGradedBasis):
         zero, cols = zero_of(basis.recurrence.field), [[one_of(basis.recurrence.field)]]
         for _ in range(dim - 1):
             cols.append(multiply_by_x(basis.recurrence, cols[-1]))
@@ -89,43 +91,54 @@ def jordan_block(dim: int, field: Field = Field.RATIONAL) -> DenseMatrix:
 def invert_matrix(M: DenseMatrix) -> DenseMatrix:
     """Inverse by Gauss-Jordan elimination.
 
-    Floating fields pivot by magnitude.  Rationals take the first nonzero
-    pivot on integer rows A = diag(L) M, step r <- (p/g) r - (f/g) r_pivot
-    with g = gcd(p, f), divide each new row by its content, and finish
-    with M^(-1) = A^(-1) diag(L).
+    Floating fields pivot by magnitude on [M | I].  Rationals take the
+    first nonzero pivot on integer rows A = diag(L) M, step
+    r <- (p/g) r - (f/g) r_pivot with g = gcd(p, f), and divide each new
+    row by its content, in place on n columns: after step c, position c
+    of a row holds the inverse side's column orig[c], the original row
+    that pivoted there.  A row that has not pivoted keeps its identity
+    entry as one scalar, a row that has keeps its diagonal entry, and
+    the scalar enters the row's content.  Then
+    M^(-1)[r][orig[c]] = a[r][c] L_orig[c] / diag[r].
     """
     if M.rows != M.cols:
         raise ValueError("only square matrices invert")
     n = M.rows
-    exact = M.field is Field.RATIONAL
-    one, zero = (1, 0) if exact else (one_of(M.field), zero_of(M.field))
-    scaled = M._int_rows() if exact else [(1, list(M.row(i))) for i in range(n)]
-    a = [row + [one if i == j else zero for j in range(n)] for i, (_, row) in enumerate(scaled)]
+    if M.field is Field.RATIONAL:
+        rows = M._int_rows()
+        a, scalar, orig = [list(r) for _, r in rows], [1] * n, list(range(n))
+        for c in range(n):
+            piv = next((r for r in range(c, n) if a[r][c]), None)
+            if piv is None:
+                raise SingularMatrixError("matrix is singular")
+            for v in (a, scalar, orig):
+                v[c], v[piv] = v[piv], v[c]
+            P, p, s = a[c], a[c][c], scalar[c]
+            P[c], scalar[c] = s, p   # the pivot row's identity entry enters at c
+            for r in range(n):
+                if r != c and (f := a[r][c]):
+                    pg, fg = p // (g := math.gcd(p, f)), f // g
+                    a[r][c] = 0   # so position c becomes -fg s, the entering column
+                    row = [pg * x - fg * y for x, y in zip(a[r], P)]
+                    k = math.gcd(d := pg * scalar[r], *row)
+                    a[r], scalar[r] = [x // k for x in row], d // k
+        L = [rows[o][0] for o in orig]
+        at = sorted(range(n), key=orig.__getitem__)   # at[j]: the position holding column j
+        return DenseMatrix._from_ints(n, [(d, [row[c] * L[c] for c in at])
+                                          for d, row in zip(scalar, a)])
+    one, zero = one_of(M.field), zero_of(M.field)
+    a = [list(M.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            piv = piv if a[piv][col] != 0 else None
-        if piv is None:
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
             raise SingularMatrixError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
         p = a[col][col]
-        if not exact:
-            a[col] = [x / p for x in a[col]]
+        a[col] = [x / p for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                if exact:
-                    pg, fg = p // (g := math.gcd(p, f)), f // g
-                    row = [pg * x - fg * y for x, y in zip(a[r], a[col])]
-                    content = math.gcd(*row)
-                    a[r] = [x // content for x in row]
-                else:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if exact:
-        return DenseMatrix._from_ints(n, [(row[i], [x * L for x, (L, _) in zip(row[n:], scaled)])
-                                          for i, row in enumerate(a)])
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return DenseMatrix.from_rows([row[n:] for row in a], M.field)
 
 

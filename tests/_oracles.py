@@ -165,6 +165,29 @@ def degree_graded_by_fractions(alpha, beta, gamma, n):
     return [[Q[k][r + 1] if r < k else zero for k in range(n + 1)] for r in range(n + 1)]
 
 
+def monomial_images_by_fractions(alpha, beta, gamma, dim):
+    """Rows of the former degree-graded monomial images M, column k holding x^k.
+
+    Column k + 1 is x times column k by x phi_j = alpha_j phi_{j+1} +
+    beta_j phi_j + gamma_j phi_{j-1}, one operation per term, zero
+    coefficients skipped, and each column padded with zeros to ``dim``.
+    Floating coefficients run the same operations in floating point.
+    """
+    zero = type(alpha[0])(0) if alpha else Fraction(0)
+    cols = [[zero + 1]]
+    for _ in range(dim - 1):
+        out = [zero] * (len(cols[-1]) + 1)
+        for j, c in enumerate(cols[-1]):
+            if c == 0:
+                continue
+            out[j + 1] += alpha[j] * c
+            out[j] += beta[j] * c
+            if j >= 1:
+                out[j - 1] += gamma[j] * c
+        cols.append(out)
+    return [[c[i] if i < len(c) else zero for c in cols] for i in range(dim)]
+
+
 def _local_series_by_fractions(nodes, confluencies, extra):
     """Per node, u^0 .. u^(s_i - 1 + extra) of g_i(u) = prod_{m != i} (u + t_i - t_m)^(s_m)."""
     nodes = [Fraction(t) for t in nodes]

@@ -1,5 +1,6 @@
 """Similarity to the Jordan block, generalized inverses, and the oracle."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.core import (
     BernsteinBasis,
+    DegreeGradedBasis,
     DenseMatrix,
     Field,
     HermiteBasis,
@@ -102,6 +104,41 @@ def test_monomial_images_ones_and_bounds():
         monomial_images(UnknownBasis())
 
 
+def _images_as_reference(basis):
+    """monomial_images of a degree-graded basis against the former recurrence, by type and repr."""
+    rec, dim = basis.recurrence, basis.dimension
+    want = orc.monomial_images_by_fractions(rec.alpha, rec.beta, rec.gamma, dim)
+    got = monomial_images(basis)
+    assert (got.rows, got.cols, got.field) == (dim, dim, rec.field)
+    assert _typed(got.entries) == _typed([x for row in want for x in row]), basis
+
+
+def test_degree_graded_images_agree_with_the_fraction_recurrence():
+    rng = random.Random(17)
+    for degree in range(13):
+        centres = set()
+        while len(centres) < degree + 1:
+            centres.add(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        for basis in (monomial_basis(degree), chebyshev_basis(degree), legendre_basis(degree),
+                      newton_basis(sorted(centres))):
+            _images_as_reference(basis)
+    _images_as_reference(legendre_basis(60))
+    # dyadic centres: each Fraction(cos) has its own power-of-two denominator
+    _images_as_reference(newton_basis([Fraction(math.cos((2 * k + 1) * math.pi / 68))
+                                       for k in range(34)]))
+    def big():
+        return Fraction(rng.randint(-10**12, 10**12) or 1, -rng.randint(1, 10**15))
+    for degree in (0, 1, 6, 12):
+        coefficients = [[big() for _ in range(degree)] for _ in range(3)]
+        _images_as_reference(DegreeGradedBasis(RecurrenceSpec(*coefficients), degree))
+
+
+def test_floating_degree_graded_images_keep_the_floating_recurrence():
+    for centres in ([math.cos((2 * k + 1) * math.pi / 40) for k in range(20)],
+                    [complex(math.cos(k), math.sin(k) / 3) for k in range(9)]):
+        _images_as_reference(newton_basis(centres))
+
+
 # ---------------------------------------------------------------- V and J
 
 def test_build_v_divides_by_factorials():
@@ -184,7 +221,7 @@ def _inverts_as_reference(rows):
         return True
     got = invert_matrix(M)
     assert (got.rows, got.cols, got.field) == (M.rows, M.cols, Field.RATIONAL)
-    assert [(type(x), x) for x in got.entries] == [(type(y), y) for row in want for y in row]
+    assert _typed(got.entries) == _typed([y for row in want for y in row])
     return False
 
 
@@ -210,6 +247,54 @@ def test_invert_matrix_small_exact_cases():
         assert inv.entries == (want,) and type(inv[0, 0]) is Fraction
     with pytest.raises(SingularMatrixError):
         invert_matrix(DenseMatrix.from_rows([[0]]))
+
+
+def _nonzero_rational(rng):
+    return Fraction(rng.randint(-9, 9) or 1, rng.choice([-1, 1]) * rng.randint(1, 9))
+
+
+def test_in_place_inversion_at_the_pivot_corners():
+    rng = random.Random(17)
+    def q():
+        return _nonzero_rational(rng)
+    # every permutation matrix up to 5x5 times a rational diagonal
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            d = [q() for _ in range(n)]
+            assert not _inverts_as_reference([[d[j] if j == perm[i] else 0 for j in range(n)]
+                                              for i in range(n)])
+    for n in range(2, 10):
+        # row i < n - 1 starts with i + 1 zeros and the last row with none, so at every
+        # step the first nonzero pivot is in the last row, which the swap refills
+        rows = [[0] * (i + 1) + [q() for _ in range(n - 1 - i)] for i in range(n - 1)]
+        assert not _inverts_as_reference(rows + [[q() for _ in range(n)]])
+        # n - 1 rows whose leading (n-1)x(n-1) block inverts, and a combination of them:
+        # the first n - 1 columns have rank n - 1 in any row order, so only the last step fails
+        while True:
+            head = [[q() for _ in range(n)] for _ in range(n - 1)]
+            try:
+                orc.gauss_jordan_inverse([row[:-1] for row in head])
+                break
+            except SingularMatrixError:
+                continue
+        c = [q() for _ in range(n - 1)]
+        rows = head + [[sum(ci * row[j] for ci, row in zip(c, head)) for j in range(n)]]
+        rng.shuffle(rows)
+        assert _inverts_as_reference(rows)
+
+
+def test_in_place_inversion_on_dense_and_sparse_matrices():
+    rng = random.Random(18)
+    singular = regular = 0
+    for n in range(13):
+        for zeros in (0.0, 0.0, 0.3, 0.5, 0.7, 0.85):
+            rows = [[0 if rng.random() < zeros else _nonzero_rational(rng) for _ in range(n)]
+                    for _ in range(n)]
+            if _inverts_as_reference(rows):
+                singular += 1
+            else:
+                regular += 1
+    assert singular >= 15 and regular >= 40, (singular, regular)
 
 
 def _rational_instance(name, dim, rng):
