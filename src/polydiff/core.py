@@ -235,9 +235,6 @@ class DenseMatrix:
         field = join_fields(self.field, field_of(other))
         return DenseMatrix(self.rows, self.cols, [e * other for e in self.entries], field)
 
-    def __rmul__(self, other):
-        return self * other
-
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented

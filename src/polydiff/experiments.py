@@ -12,8 +12,8 @@ Everything here is deterministic: no randomness, fixed grids, fixed
 size lists, double precision throughout, weight construction included.
 The weights themselves stay accurate (at Chebyshev n=55, confluency 3,
 they keep about 12 digits); the loss of accuracy shows in the
-nontrivial rows of the differentiation matrix, that is in norm_Z.  A grid
-is evaluated in one node-major pass with a one-point call's operations.
+nontrivial rows of the differentiation matrix, that is in norm_Z.  The grid
+is evaluated by one ``hermite_eval`` call per record.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .core import NodeSet, mat_apply, mat_inf_norm, vec_inf_norm
-from .hermite import _first_form, constant_data, diff_matrix_hermite, gen_bary_weights
+from .hermite import constant_data, diff_matrix_hermite, gen_bary_weights, hermite_eval
 
 DEFAULT_SIZES = (3, 5, 8, 13, 21, 34, 55)
 GRID_POINTS = 1001
@@ -78,7 +78,7 @@ def hermite_error_record(n: int, family: str, confluency: int) -> ExperimentReco
     nodes = _node_set(n, family, confluency)
     w = gen_bary_weights(nodes)
     data = constant_data(nodes)
-    err = max(abs(v - 1.0) for v in _first_form(w, data, _grid()))
+    err = max(abs(v - 1.0) for v in hermite_eval(w, data, _grid()))
     return ExperimentRecord(n, family, confluency, max_err=err)
 
 

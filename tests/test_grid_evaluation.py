@@ -1,18 +1,21 @@
-"""Evaluation over a list of points against the former one-point loops.
+"""The list evaluators against the former one-point loops.
 
-The list kernels run node-major over all points at once but must do, for
-each point, the float operations of the one-point code in
-``_oracles.py``, in the same order; so results are compared by ``repr``,
-which tells apart every float, ``-0.0`` from ``0.0`` and a float from a
-Fraction.
+The public evaluators take a list of points and run node-major over all
+of them at once, but must do, for each point, the float operations of
+the one-point code in ``_oracles.py``, in the same order; so results are
+compared by ``repr``, which tells apart every float, ``-0.0`` from
+``0.0`` and a float from a Fraction.
 """
 
 import cmath
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polydiff import verify
 from polydiff.core import NodeSet
 from polydiff.experiments import (
     GRID_POINTS,
@@ -20,15 +23,8 @@ from polydiff.experiments import (
     equispaced_points,
     run_experiment,
 )
-from polydiff.hermite import (
-    _first_form,
-    _node_products,
-    constant_data,
-    gen_bary_weights,
-    hermite_eval,
-    node_polynomial_value,
-)
-from polydiff.lagrange import _second_form, eval_second_form
+from polydiff.hermite import constant_data, gen_bary_weights, hermite_eval, node_polynomial_value
+from polydiff.lagrange import eval_first_form, eval_second_form
 
 import _oracles as orc
 
@@ -65,42 +61,78 @@ def test_list_kernels_equal_the_one_point_loops(kind, s):
     # every derivative slot carries data, so every Horner step is exercised
     data = [draw() for _ in range(ns.dimension)]
     want = [repr(orc.first_form_at(w, data, z)) for z in zs]
-    assert [repr(v) for v in _first_form(w, data, zs)] == want
-    assert [repr(v) for v in _first_form(w, iter(data), (z for z in zs))] == want
-    assert [repr(hermite_eval(w, data, z)) for z in zs] == want
+    assert [repr(v) for v in hermite_eval(w, data, zs)] == want
+    assert [repr(v) for v in hermite_eval(w, iter(data), (z for z in zs))] == want
+    assert [repr(v) for z in zs for v in hermite_eval(w, data, [z])] == want
     off = [z for z in zs if z not in ns.nodes]
-    assert [repr(v) for v in _node_products(ns, off)] == \
+    assert [repr(v) for v in node_polynomial_value(ns, off)] == \
         [repr(orc.node_polynomial_at(ns, z)) for z in off]
-    assert [repr(node_polynomial_value(ns, z)) for z in off] == \
+    assert [repr(v) for v in node_polynomial_value(ns, (z for z in off))] == \
         [repr(orc.node_polynomial_at(ns, z)) for z in off]
     if s == 1:
+        assert [repr(v) for v in eval_first_form(w, iter(data), (z for z in zs))] == want
         want = [repr(orc.second_form_at(w, data, z)) for z in zs]
-        assert [repr(v) for v in _second_form(w, data, (z for z in zs))] == want
-        assert [repr(eval_second_form(w, data, z)) for z in zs] == want
+        assert [repr(v) for v in eval_second_form(w, iter(data), (z for z in zs))] == want
+        assert [repr(v) for z in zs for v in eval_second_form(w, data, [z])] == want
 
 
 def test_node_hits_return_the_stored_value_of_that_node():
     ns = NodeSet([-1.0, 0.0, 0.5], [2, 1, 3])
     w = gen_bary_weights(ns)
     data = [float(k + 1) for k in range(ns.dimension)]
-    assert _first_form(w, data, [-0.0, Fraction(1, 2), -1, 0.25]) == \
+    assert hermite_eval(w, data, [-0.0, Fraction(1, 2), -1, 0.25]) == \
         [3.0, 4.0, 1.0, orc.first_form_at(w, data, 0.25)]
     simple = gen_bary_weights(NodeSet([-1.0, 0.0, 0.5]))
-    assert _second_form(simple, [7.0, 8.0, 9.0], [-0.0, Fraction(1, 2)]) == [8.0, 9.0]
+    assert eval_second_form(simple, [7.0, 8.0, 9.0], [-0.0, Fraction(1, 2)]) == [8.0, 9.0]
+
+
+# (nodes, a point of another type whose difference from nodes[1] is 0.0, an off-node point)
+ROUNDING_HITS = {
+    "fraction-on-float": ([0.0, 1 / 3, 1.0], Fraction(1, 3), Fraction(1, 2)),
+    "int-on-float": ([0.0, 2.0 ** 53, 2.0 ** 54], 2 ** 53 + 1, 3),
+    "float-on-fraction": ([Fraction(0), Fraction(1, 3), Fraction(1)], 1 / 3, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDING_HITS))
+def test_a_point_that_rounds_onto_a_node_hits_it(case):
+    nodes, z, other = ROUNDING_HITS[case]
+    assert z != nodes[1] and z - nodes[1] == 0
+    for s in (1, 2):
+        w = gen_bary_weights(NodeSet(nodes, [s] * 3))
+        data = [float(k + 1) for k in range(w.nodes.dimension)]
+        want = [data[s], orc.first_form_at(w, data, other)]
+        assert hermite_eval(w, data, [z, other]) == want
+    w, values = gen_bary_weights(NodeSet(nodes)), [7.0, 8.0, 9.0]
+    assert eval_first_form(w, values, [z, other]) == [8.0, orc.first_form_at(w, values, other)]
+    assert eval_second_form(w, values, [z, other]) == [8.0, orc.second_form_at(w, values, other)]
 
 
 def test_empty_lists_and_bad_counts():
     w = gen_bary_weights(NodeSet([-1.0, 0.0, 1.0], [2, 1, 1]))
-    assert _first_form(w, constant_data(w.nodes), []) == []
-    assert _first_form(w, constant_data(w.nodes), iter(())) == []
-    assert _node_products(w.nodes, []) == []
+    assert hermite_eval(w, constant_data(w.nodes), []) == []
+    assert hermite_eval(w, constant_data(w.nodes), iter(())) == []
+    assert node_polynomial_value(w.nodes, []) == []
+    assert node_polynomial_value(w.nodes, iter(())) == []
     with pytest.raises(ValueError, match="expected 4 data entries, got 3"):
-        _first_form(w, [1.0, 2.0, 3.0], [0.5])
+        hermite_eval(w, [1.0, 2.0, 3.0], [0.5])
     with pytest.raises(ValueError, match="expected 4 data entries, got 3"):
-        _first_form(w, [1.0, 2.0, 3.0], [])
+        hermite_eval(w, [1.0, 2.0, 3.0], [])
     simple = gen_bary_weights(NodeSet([-1.0, 1.0]))
-    with pytest.raises(ValueError, match="expected 2 data entries, got 1"):
-        _second_form(simple, [1.0], [0.5])
+    for form in (eval_first_form, eval_second_form):
+        assert form(simple, [1.0, 2.0], []) == []
+        assert form(simple, iter([1.0, 2.0]), iter(())) == []
+        with pytest.raises(ValueError, match="expected 2 data entries, got 1"):
+            form(simple, [1.0], [0.5])
+        with pytest.raises(ValueError, match="expected 2 data entries, got 3"):
+            form(simple, [1.0, 2.0, 3.0], [])
+
+
+def test_lagrange_forms_need_simple_nodes():
+    w = gen_bary_weights(NodeSet([-1.0, 0.0, 1.0], [2, 1, 1]))
+    for form in (eval_first_form, eval_second_form):
+        with pytest.raises(ValueError, match="need simple nodes"):
+            form(w, [1.0, 2.0, 3.0, 4.0], [0.5])
 
 
 GRID = [-1.0 + 2.0 * t / (GRID_POINTS - 1) for t in range(GRID_POINTS)]
@@ -116,3 +148,20 @@ def test_experiment_error_equals_the_one_point_loop(which, n, s, family):
     w, data = gen_bary_weights(ns), constant_data(ns)
     want = max(abs(orc.first_form_at(w, data, z) - 1.0) for z in GRID)
     assert repr(record.max_err) == repr(want)
+
+
+def test_the_benchmark_tracer_sees_evaluation(monkeypatch):
+    # the benchmark's own loader purges sys.modules, so import the modules here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install({name: importlib.import_module(f"polydiff.{name}")
+                        for name in workloads.MODULE_NAMES})
+        run_experiment("hermite-error", "chebyshev", 3, [5])
+        assert tracer.calls["hermite.hermite_eval"] == 1
+        assert all(r.ok for r in verify.run_checks("lagrange"))
+        assert tracer.calls["lagrange.eval_first_form"] >= 1
+    finally:
+        tracer.uninstall()
