@@ -40,7 +40,6 @@ from .degree_graded import (
     legendre_recurrence,
     monomial_basis,
     monomial_recurrence,
-    multiply_by_x,
     newton_basis,
     newton_diff_matrix,
     newton_recurrence,
@@ -62,7 +61,6 @@ from .hermite import (
 from .bernstein import (
     bernstein_norm_table,
     diff_matrix_bernstein,
-    monomial_in_bernstein,
 )
 from .structure import (
     build_V,

@@ -1,4 +1,4 @@
-"""Bernstein basis on [0, 1]: differentiation matrix, monomial images, norms.
+"""Bernstein basis on [0, 1]: differentiation matrix and norms.
 
 The degree-n Bernstein differentiation matrix is tridiagonal: row i
 holds -i, 2i - n, n - i on columns i-1, i, i+1.  Its infinity norm is
@@ -8,9 +8,6 @@ growth easy to inspect exactly.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from .core import DenseMatrix, mat_inf_norm, mat_power
 
@@ -22,17 +19,6 @@ def diff_matrix_bernstein(n: int) -> DenseMatrix:
     # row i of a matrix padded with one zero column on each side
     return DenseMatrix._from_ints(n + 1, [(1, ([0] * i + [-i, 2 * i - n, n - i] + [0] * (n - i))[1:-1])
                                           for i in range(n + 1)])
-
-
-def monomial_in_bernstein(n: int, k: int) -> tuple:
-    """Coefficients of x^k in the degree-n Bernstein basis.
-
-    Entry i is C(i, k) / C(n, k); zero for i < k.
-    """
-    if not (0 <= k <= n):
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    cnk = math.comb(n, k)
-    return tuple(Fraction(math.comb(i, k), cnk) for i in range(n + 1))
 
 
 def bernstein_norm_table(n_max: int) -> list[tuple]:

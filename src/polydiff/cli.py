@@ -165,14 +165,24 @@ def _parse_node_set(args, field: Field) -> NodeSet:
     return NodeSet(nodes, conf)
 
 
+# the flags that name an instance, per ``Family.arg``; the first is required
+_INSTANCE_FLAGS = {"degree": ("degree",), "nodes": ("nodes", "confluency"),
+                   "recurrence": ("alpha", "beta", "gamma", "degree")}
+
+
 def _instance_arg(args, family, field: Field):
-    """What names the requested instance, in the shape ``family.arg`` says."""
+    """What names the requested instance, in the shape ``family.arg`` says.  Refuses first
+    a flag that does not apply, the first in the parser's order, then a missing one."""
+    flags = _INSTANCE_FLAGS[family.arg]
+    for flag in ("degree", "nodes", "confluency", "alpha", "beta", "gamma"):
+        if flag not in flags and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to --basis {args.basis}")
+    if getattr(args, flags[0]) is None:
+        raise UsageError(f"--basis {args.basis} requires --{flags[0]}")
     if family.arg == "degree":
         return args.degree
     if family.arg == "nodes":
         return _parse_node_set(args, field)
-    if args.alpha is None:
-        raise UsageError("--basis recurrence requires --alpha")
     alpha = parse_scalar_list(args.alpha, field)
     beta = parse_scalar_list(args.beta, field) if args.beta is not None else None
     gamma = parse_scalar_list(args.gamma, field) if args.gamma is not None else None
@@ -184,22 +194,6 @@ def cmd_matrix(args) -> int:
     basis = args.basis
     family = FAMILIES[basis]
     field = Field(args.field)
-    if family.arg != "nodes":
-        if args.nodes is not None:
-            raise UsageError(f"--nodes does not apply to --basis {basis}")
-        if args.confluency is not None:
-            raise UsageError(f"--confluency does not apply to --basis {basis}")
-    else:
-        if args.degree is not None:
-            raise UsageError(f"--degree does not apply to --basis {basis}; "
-                             "the node list fixes the dimension")
-        if args.nodes is None:
-            raise UsageError(f"--basis {basis} requires --nodes")
-    if family.arg != "recurrence" and (args.alpha, args.beta, args.gamma) != (None, None, None):
-        raise UsageError("--alpha/--beta/--gamma apply to --basis recurrence only")
-    if family.arg == "degree" and args.degree is None:
-        raise UsageError(f"--basis {basis} requires --degree")
-
     arg = _instance_arg(args, family, field)
     if args.pinv and family.antideriv:
         M = family.antideriv(arg)

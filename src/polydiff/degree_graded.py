@@ -26,7 +26,6 @@ from .core import (
     _coerce_all,
     _integer_scaled,
     all_finite,
-    as_node_set,
     coerce_scalar,
     field_of,
     join_fields,
@@ -107,32 +106,11 @@ def legendre_basis(n: int):
 
 
 def newton_basis(nodes):
-    nodes = as_node_set(nodes)
-    zs = nodes.flat_nodes()
-    basis = DegreeGradedBasis(newton_recurrence(zs[:-1]), len(zs) - 1, name="newton")
-    return basis
-
-
-def multiply_by_x(rec: RecurrenceSpec, coeffs) -> list:
-    """Coefficients of x * p given the coefficients of p.
-
-    The output has one more entry than the input; the recurrence must be
-    long enough to cover every nonzero input coefficient.
-    """
-    coeffs = list(coeffs)
-    n = len(coeffs)
-    if len(rec) < n:
-        raise ValueError("recurrence too short for this coefficient vector")
-    zero = zero_of(join_fields(rec.field, *(field_of(c) for c in coeffs)))
-    out = [zero] * (n + 1)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        out[j + 1] += rec.alpha[j] * c
-        out[j] += rec.beta[j] * c
-        if j >= 1:
-            out[j - 1] += rec.gamma[j] * c
-    return out
+    zs = nodes.flat_nodes() if isinstance(nodes, NodeSet) else tuple(nodes)
+    if not zs:
+        raise ValueError("need at least one center")
+    # every center is checked and joins the field; the last recurrence term goes unused
+    return DegreeGradedBasis(newton_recurrence(zs), len(zs) - 1, name="newton")
 
 
 def _integer_rows(rec: RecurrenceSpec, n: int) -> list:
@@ -241,12 +219,9 @@ def chebyshev_antideriv_matrix(n: int) -> DenseMatrix:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    D = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for k in range(n):
-        D[k + 1][k] = Fraction(1, 2 * (k + 1)) if k else Fraction(1)
-    for k in range(2, n + 1):
-        D[k - 1][k] = Fraction(-1, 2 * (k - 1))
-    return DenseMatrix.from_rows(D, Field.RATIONAL)
+    # row r >= 1 over 2r: 1 in column r - 1 (2 at r = 1, from T_0) and -1 in column r + 1
+    return DenseMatrix._from_ints(n + 1, [(1, [0] * (n + 1))] + [
+        (2 * r, ([0] * (r - 1) + [1 + (r == 1), 0, -1] + [0] * n)[:n + 1]) for r in range(1, n + 1)])
 
 
 def legendre_antideriv_matrix(n: int) -> DenseMatrix:
@@ -257,25 +232,19 @@ def legendre_antideriv_matrix(n: int) -> DenseMatrix:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    D = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for r in range(1, n + 1):
-        D[r][r - 1] = Fraction(1, 2 * r - 1)
-        if r + 1 <= n:
-            D[r][r + 1] = Fraction(-1, 2 * r + 3)
-    return DenseMatrix.from_rows(D, Field.RATIONAL)
+    # row r >= 1 over (2r - 1)(2r + 3): 2r + 3 in column r - 1 and 1 - 2r in column r + 1
+    return DenseMatrix._from_ints(n + 1, [(1, [0] * (n + 1))] + [((2 * r - 1) * (2 * r + 3), (
+        [0] * (r - 1) + [2 * r + 3, 0, 1 - 2 * r] + [0] * n)[:n + 1]) for r in range(1, n + 1)])
 
 
 def newton_diff_matrix(nodes) -> DenseMatrix:
     """Differentiation matrix for the Newton basis on the given centers.
 
-    ``nodes`` may be a NodeSet (confluencies expand to repeated centers,
-    node-major) or a plain sequence of centers, repetitions allowed.
-    With all centers equal the Newton basis degenerates to shifted
-    monomials and the matrix to the monomial one.
+    ``newton_basis`` reads ``nodes``: a NodeSet (confluencies expand to
+    repeated centers, node-major) or a plain sequence of centers,
+    repetitions allowed.  With all centers equal the Newton basis
+    degenerates to shifted monomials and the matrix to the monomial one.
     """
-    zs = nodes.flat_nodes() if isinstance(nodes, NodeSet) else tuple(nodes)
-    if not zs:
-        raise ValueError("need at least one center")
-    n = len(zs) - 1
-    return diff_matrix_degree_graded(newton_recurrence(zs[:n]), n)
+    basis = newton_basis(nodes)
+    return diff_matrix_degree_graded(basis.recurrence, basis.degree)
 

@@ -29,14 +29,15 @@ rationals.  At confluency 1 they are the barycentric weights
 
 ``hermite_eval`` and ``node_polynomial_value`` take any iterable of points and
 return a list, in one node-major pass doing each point's float operations of a
-point-by-point loop, in order.  A point that is == to a node, or whose difference
-from it is zero, gets the node's stored value.
+point-by-point loop, in order.  A point that hits a node gets its stored value,
+one that overflows next to a node its Taylor polynomial (see ``_at_points``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from operator import add, mul, truediv
 from typing import NamedTuple
@@ -164,18 +165,43 @@ def _pole_sums(w: GenBaryWeights, data, zs: list) -> list:
 
 
 def _at_points(w: GenBaryWeights, data, zs, off_nodes) -> list:
-    """Stored values at node hits, off_nodes(data, rest) at the rest of zs.  A point hits a
-    node when == to it (-0.0 hits 0.0) or, on a grid with a point of another type than the
-    nodes, when their difference is zero (the int 2**53 + 1 against the float 2**53)."""
+    """Stored values at node hits (== to a node: -0.0 hits 0.0), off_nodes(data, rest) at the rest;
+    a grid that divides by zero or has a value that is not finite is redone by ``_near_node``."""
     data = tuple(data)
     if len(data) != w.nodes.dimension:
         raise ValueError(f"expected {w.nodes.dimension} data entries, got {len(data)}")
     zs, nodes = list(zs), w.nodes.nodes
     stored = {t: data[o] for t, o in zip(nodes, w.nodes.offsets)}
-    if not set(map(type, zs)) <= {type(nodes[0])}:
-        stored.update({z: stored[t] for z in zs if z not in stored for t in nodes if z - t == 0})
-    rest = iter(off_nodes(data, [z for z in zs if z not in stored]))
+    rest = [z for z in zs if z not in stored]
+    try:
+        vals = list(off_nodes(data, rest))
+        total = sum(vals, 0.0)   # a float sum is finite only if every value is
+    except (ZeroDivisionError, OverflowError):   # a zero difference, or an exact value past floats
+        total = math.nan
+    if total - total != 0:
+        vals = [_near_node(w, data, z, off_nodes) for z in rest]
+    rest = iter(vals)
     return [stored[z] if z in stored else next(rest) for z in zs]
+
+
+def _size(x) -> float:
+    return math.hypot(x.real, x.imag)   # abs(x), but inf where abs of a complex x would raise
+
+
+def _near_node(w: GenBaryWeights, data: tuple, z, off_nodes):
+    """off_nodes(data, [z]), or, where that is not finite from finite data and the overflow
+    comes from z's nearest node t_i (some |b_{i,j}| / |z - t_i|^(j+1) past the float range),
+    t_i's Taylor polynomial sum_{j < s_i} d_{i,j} (z - t_i)^j: d_{i,0} at s_i = 1 or z - t_i = 0."""
+    nodes = w.nodes.nodes
+    i = min(range(len(nodes)), key=lambda k: _size(z - nodes[k]))
+    u, o, row = z - nodes[i], w.nodes.offsets[i], w.weights[i]
+    if u == 0:   # a point of another type than the nodes: the int 2**53 + 1 at 2.0**53
+        return data[o]
+    value = next(iter(off_nodes(data, [z])))
+    if value - value == 0 or not all(d - d == 0 for d in data) or not any(
+            reduce(truediv, repeat(_size(u), j + 1), _size(b)) == math.inf for j, b in enumerate(row)):
+        return value
+    return reduce(lambda p, d: p * u + d, reversed(data[o:o + len(row)]))
 
 
 def hermite_eval(w: GenBaryWeights, data, zs) -> list:

@@ -29,21 +29,28 @@ from .core import (
     one_of,
     zero_of,
 )
-from .bernstein import monomial_in_bernstein
-from .degree_graded import _monomial_rows, multiply_by_x
+from .degree_graded import _monomial_rows
 from .hermite import monomial_data
 
 
 def monomial_images(basis) -> DenseMatrix:
     """Matrix M whose column k holds the coefficients of x^k in the basis."""
     dim = basis.dimension
-    if isinstance(basis, DegreeGradedBasis) and basis.recurrence.field is Field.RATIONAL:
+    if isinstance(basis, BernsteinBasis):   # C(i, k)/C(n, k) = perm(i, k) perm(n-k, i-k)/perm(n, i)
+        n = basis.degree
+        return DenseMatrix._from_ints(dim, [(math.perm(n, i), [math.perm(i, k) * math.perm(n - k, i - k)
+                                            for k in range(i + 1)] + [0] * (n - i)) for i in range(dim)])
+    elif isinstance(basis, DegreeGradedBasis) and basis.recurrence.field is Field.RATIONAL:
         return DenseMatrix._from_ints(dim, _monomial_rows(basis.recurrence, dim))
     elif isinstance(basis, DegreeGradedBasis):
-        zero, cols = zero_of(basis.recurrence.field), [[one_of(basis.recurrence.field)]]
-        for _ in range(dim - 1):
-            cols.append(multiply_by_x(basis.recurrence, cols[-1]))
-        cols = [tuple(c) + (zero,) * (dim - len(c)) for c in cols]
+        # x c_j = zero + alpha_(j-1) c_(j-1) + beta_j c_j + gamma_(j+1) c_(j+1), in this order
+        rec, n, zero = basis.recurrence, dim - 1, zero_of(basis.recurrence.field)
+        A, B, G = (zero,) + rec.alpha[:n], rec.beta[:n] + (zero,), rec.gamma[1:n] + (zero, zero)
+        cols = [[one_of(rec.field)] + [zero] * n]
+        for _ in range(n):
+            Z = [zero, *cols[-1], zero]
+            cols.append([zero + a * x + b * y + g * z
+                         for a, x, b, y, g, z in zip(A, Z, B, Z[1:], G, Z[2:])])
     elif isinstance(basis, HermiteBasis) and basis.nodes.field is Field.RATIONAL:
         # row (i, j) holds C(k, j) t_i^(k-j) = C(k, j) p^(k-j) q^(e-k) / q^e, t_i = p/q, e = dim-1-j
         nodes = basis.nodes
@@ -52,8 +59,6 @@ def monomial_images(basis) -> DenseMatrix:
             for k in range(dim)]) for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s)])
     elif isinstance(basis, HermiteBasis):   # LagrangeBasis too: confluency 1
         cols = [monomial_data(basis.nodes, k) for k in range(dim)]
-    elif isinstance(basis, BernsteinBasis):
-        cols = [monomial_in_bernstein(basis.degree, k) for k in range(dim)]
     else:
         raise TypeError(f"unsupported basis: {basis!r}")
     return DenseMatrix(dim, dim, [c for row in zip(*cols) for c in row])

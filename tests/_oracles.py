@@ -170,8 +170,9 @@ def monomial_images_by_fractions(alpha, beta, gamma, dim):
 
     Column k + 1 is x times column k by x phi_j = alpha_j phi_{j+1} +
     beta_j phi_j + gamma_j phi_{j-1}, one operation per term, zero
-    coefficients skipped, and each column padded with zeros to ``dim``.
-    Floating coefficients run the same operations in floating point.
+    coefficients skipped, and each column padded with zeros to ``dim``:
+    the former column-by-column helper, step for step.  Floating
+    coefficients run the same operations in floating point.
     """
     zero = type(alpha[0])(0) if alpha else Fraction(0)
     cols = [[zero + 1]]
@@ -186,6 +187,12 @@ def monomial_images_by_fractions(alpha, beta, gamma, dim):
                 out[j - 1] += gamma[j] * c
         cols.append(out)
     return [[c[i] if i < len(c) else zero for c in cols] for i in range(dim)]
+
+
+def bernstein_images_by_fractions(n):
+    """Rows of the former Bernstein monomial images M: column k holds x^k, entry i
+    C(i, k) / C(n, k), one reduced Fraction per entry."""
+    return [[Fraction(comb(i, k), comb(n, k)) for k in range(n + 1)] for i in range(n + 1)]
 
 
 def _local_series_by_fractions(nodes, confluencies, extra):

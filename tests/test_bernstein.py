@@ -5,13 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from polydiff.bernstein import (
-    bernstein_norm_table,
-    diff_matrix_bernstein,
-    monomial_in_bernstein,
-)
+from polydiff.bernstein import bernstein_norm_table, diff_matrix_bernstein
 from polydiff.core import BernsteinBasis, DenseMatrix, mat_power
-from polydiff.structure import conjugation_oracle, nilpotency_index
+from polydiff.structure import conjugation_oracle, monomial_images, nilpotency_index
 
 import _oracles as orc
 
@@ -68,21 +64,19 @@ def test_power_past_dimension_vanishes():
         assert nilpotency_index(D) == n + 1
 
 
-def test_monomial_in_bernstein_entries():
+def test_bernstein_images_entries():
     n = 6
+    M = monomial_images(BernsteinBasis(n))
     for k in range(n + 1):
-        col = monomial_in_bernstein(n, k)
-        assert col == tuple(Fraction(math.comb(i, k), math.comb(n, k))
-                            for i in range(n + 1))
+        assert M.column(k) == tuple(Fraction(math.comb(i, k), math.comb(n, k))
+                                    for i in range(n + 1))
     # partition of unity: the constant expands with all-ones coefficients
-    assert monomial_in_bernstein(n, 0) == (1,) * (n + 1)
-    with pytest.raises(ValueError):
-        monomial_in_bernstein(3, 4)
+    assert M.column(0) == (1,) * (n + 1)
 
 
-def test_monomial_in_bernstein_is_correct_expansion():
+def test_bernstein_images_are_correct_expansions():
     n, k = 5, 3
-    col = monomial_in_bernstein(n, k)
+    col = monomial_images(BernsteinBasis(n)).column(k)
     polys = orc.bernstein_polys(n)
     p = [Fraction(0)]
     for c, b in zip(col, polys):

@@ -478,6 +478,40 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("polydiff: error:")
 
 
+# every instance flag with a value that suits the REGISTRY_CASES instances (three nodes)
+_INSTANCE_FLAG_VALUES = {"degree": "2", "nodes": "-1,1/2,2", "confluency": "1,1,1",
+                         "alpha": "1,2,3", "beta": "1,0,1", "gamma": "0,1,1"}
+# per Family.arg: the flags that apply, the first one required
+_APPLIES = {"degree": ("degree",), "nodes": ("nodes", "confluency"),
+            "recurrence": ("alpha", "beta", "gamma", "degree")}
+
+
+@pytest.mark.parametrize("flag", _INSTANCE_FLAG_VALUES)
+@pytest.mark.parametrize("basis", REGISTRY_CASES)
+def test_each_instance_flag_applies_or_is_refused_by_name(capsys, basis, flag):
+    own = REGISTRY_CASES[basis][0]
+    named = any(tok.split("=")[0] == f"--{flag}" for tok in own)
+    extra = [] if named else [f"--{flag}={_INSTANCE_FLAG_VALUES[flag]}"]
+    code, out, err = run_cli(capsys, ["matrix", "--basis", basis, *own, *extra])
+    if flag in _APPLIES[FAMILIES[basis].arg]:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"polydiff: error: --{flag} does not apply to --basis {basis}\n"
+
+
+@pytest.mark.parametrize("basis", REGISTRY_CASES)
+def test_the_first_instance_flag_is_required_and_strays_are_named_in_parser_order(capsys, basis):
+    applies = _APPLIES[FAMILIES[basis].arg]
+    assert run_cli(capsys, ["matrix", "--basis", basis]) == (
+        2, "", f"polydiff: error: --basis {basis} requires --{applies[0]}\n")
+    strays = [f for f in _INSTANCE_FLAG_VALUES if f not in applies]
+    # given last to first, still the first in the parser's order is named, before the missing flag
+    argv = ["matrix", "--basis", basis] + [f"--{f}={_INSTANCE_FLAG_VALUES[f]}" for f in reversed(strays)]
+    assert run_cli(capsys, argv) == (
+        2, "", f"polydiff: error: --{strays[0]} does not apply to --basis {basis}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "nan,nan,1"],
     ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "0,inf"],

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydiff.core import DenseMatrix, Field, NodeSet, mat_apply
+from polydiff.core import DegreeGradedBasis, DenseMatrix, Field, NodeSet, mat_apply
 from polydiff.degree_graded import (
     RecurrenceSpec,
     chebyshev_antideriv_matrix,
@@ -15,10 +15,11 @@ from polydiff.degree_graded import (
     legendre_antideriv_matrix,
     legendre_recurrence,
     monomial_recurrence,
-    multiply_by_x,
+    newton_basis,
     newton_diff_matrix,
     newton_recurrence,
 )
+from polydiff.structure import conjugation_oracle, monomial_images
 
 import _oracles as orc
 
@@ -168,8 +169,29 @@ def test_newton_accepts_confluent_node_sets():
 
 
 def test_newton_rejects_empty():
-    with pytest.raises(ValueError):
-        newton_diff_matrix([])
+    for construct in (newton_diff_matrix, newton_basis):
+        with pytest.raises(ValueError, match="at least one center"):
+            construct([])
+
+
+def test_newton_basis_reads_centers_as_the_matrix_does():
+    # a plain list may repeat centers; the oracle conjugates by that basis's monomial images
+    assert newton_basis([1, 1, 2]).recurrence.beta == (1, 1, 2)
+    # every center is checked, the last too, which the basis of degree len - 1 never uses
+    for construct in (newton_diff_matrix, newton_basis):
+        with pytest.raises(ValueError, match="finite"):
+            construct([0.0, 1.0, float("nan")])
+    assert newton_basis([1, 2, 0.5]).recurrence.field is newton_diff_matrix([1, 2, 0.5]).field \
+        is Field.REAL
+    rng = random.Random(1923)
+    for _ in range(40):
+        pool = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        zs = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        assert conjugation_oracle(newton_basis(zs)) == newton_diff_matrix(zs), zs
+    ns = NodeSet([Fraction(1, 2), Fraction(-3), Fraction(2)], [3, 1, 2])
+    basis = newton_basis(ns)
+    assert basis.recurrence.beta == ns.flat_nodes() and basis.degree == 5
+    assert conjugation_oracle(basis) == newton_diff_matrix(ns)
 
 
 # ---------------------------------------------------------------- recurrence plumbing
@@ -190,25 +212,24 @@ def test_recurrence_spec_validation():
                 RecurrenceSpec(alpha, beta, gamma)
 
 
-def test_multiply_by_x_against_expanded_polynomials():
-    rec = chebyshev_recurrence(6)
-    polys = orc.degree_graded_polys(rec.alpha, rec.beta, rec.gamma, 6)
-    coeffs = [Fraction(2), Fraction(-1), Fraction(0), Fraction(3)]
-    out = multiply_by_x(rec, coeffs)
-    # compare x * p as monomial polynomials
-    p = [Fraction(0)]
-    for c, phi in zip(coeffs, polys):
-        p = orc.poly_add(p, orc.poly_scale(phi, c))
-    want = orc.poly_mul([Fraction(0), Fraction(1)], p)
-    got = [Fraction(0)]
-    for c, phi in zip(out, polys):
-        got = orc.poly_add(got, orc.poly_scale(phi, c))
-    assert orc.poly_trim(got) == orc.poly_trim(want)
-
-
-def test_multiply_by_x_needs_enough_terms():
-    with pytest.raises(ValueError):
-        multiply_by_x(monomial_recurrence(2), [1, 2, 3])
+def test_floating_images_against_expanded_polynomials():
+    # dyadic coefficients, alpha a power of two, at a low degree: every float and complex
+    # step is exact, so column k of the images must expand to x^k exactly
+    exact = RecurrenceSpec([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 4), Fraction(-2)],
+                           [Fraction(-1, 4), Fraction(0), Fraction(1, 8), Fraction(3), Fraction(-2)],
+                           [Fraction(0), Fraction(1, 2), Fraction(-5, 8), Fraction(1, 4), Fraction(1)])
+    for rec in (RecurrenceSpec(*(map(float, v) for v in (exact.alpha, exact.beta, exact.gamma))),
+                RecurrenceSpec(exact.alpha, [complex(b, b / 2) for b in exact.beta],
+                               [complex(-g, g) for g in exact.gamma])):
+        # the basis itself expanded exactly: alpha is real, beta and gamma as the recurrence has them
+        polys = orc.degree_graded_polys(exact.alpha, rec.beta, rec.gamma, 5)
+        M = monomial_images(DegreeGradedBasis(rec, 5))
+        assert {type(x) for x in M.entries} == {type(rec.beta[0])}
+        for k in range(6):
+            p = [Fraction(0)]
+            for c, phi in zip(M.column(k), polys):
+                p = orc.poly_add(p, orc.poly_scale(phi, c))
+            assert orc.poly_trim(p) == [0] * k + [1], (rec, k)
 
 
 def test_diff_matrix_degree_graded_rejects_bad_degree():

@@ -108,6 +108,78 @@ def test_a_point_that_rounds_onto_a_node_hits_it(case):
     assert eval_second_form(w, values, [z, other]) == [8.0, orc.second_form_at(w, values, other)]
 
 
+# (n equispaced nodes on [-1, 1], confluency, a point at which the former first form is
+# not finite next to the node 0.0), for the constant's data
+NEAR_NODE_BREAKDOWNS = [(20, 2, 1e-148), (20, 3, 1e-96), (54, 3, 1e-82), (54, 1, 1e-288)]
+
+
+@pytest.mark.parametrize("n,s,start", NEAR_NODE_BREAKDOWNS)
+def test_a_point_next_to_a_node_gets_its_taylor_polynomial(n, s, start):
+    ns = NodeSet(equispaced_points(n), [s] * (n + 1))
+    w, data = gen_bary_weights(ns), constant_data(ns)
+    assert not cmath.isfinite(orc.first_form_at(w, data, start))
+    # from 2**40 times start down to the smallest subnormal, both signs, between grid points
+    zs = [sign * start * 2.0 ** k for k in range(40, -1100, -1) for sign in (1, -1)]
+    zs = [0.3] + [z for z in zs if z != 0] + [-0.7]
+    want = [orc.first_form_at(w, data, z) for z in zs]
+    assert 50 < sum(map(cmath.isfinite, want)) < len(zs) - 50
+    # where the former value is not finite the constant's Taylor polynomial at 0.0, 1.0,
+    # stands in; every other value is the former one
+    want = [repr(v if cmath.isfinite(v) else 1.0) for v in want]
+    assert [repr(v) for v in hermite_eval(w, data, zs)] == want
+    # one point at a time too: some grids of one point overflow to inf alone, with no nan
+    assert [repr(v) for z in zs for v in hermite_eval(w, data, [z])] == want
+    # next to the node every value is near 1: the former finite ones 1.6e-8 off at n = 54, s = 3
+    assert all(abs(float(v) - 1) < 1e-7 for v in want[1:-1])
+
+
+def test_the_taylor_polynomial_carries_every_derivative_slot():
+    ns = NodeSet(equispaced_points(20), [3] * 21)
+    w, rng = gen_bary_weights(ns), random.Random(7)
+    data = [rng.uniform(-2, 2) for _ in range(ns.dimension)]
+    o = ns.offsets[10]   # the node 0.0
+    for z in (1e-120, -3e-200, 1e-150):
+        assert not cmath.isfinite(orc.first_form_at(w, data, z))
+        assert hermite_eval(w, data, [z]) == [(data[o + 2] * z + data[o + 1]) * z + data[o]]
+    # complex nodes and points
+    cs = NodeSet([0j, 0.5 + 0.5j, 1 + 0j], [2, 1, 1])
+    cw, cd = gen_bary_weights(cs), [1 + 1j, 2 - 1j, 3 + 0j, 4 + 0j]
+    for z in (5e-324 + 0j, complex(1e-200, 1e-200), complex(-1e-300, 0)):
+        assert not cmath.isfinite(orc.first_form_at(cw, cd, z))
+        assert hermite_eval(cw, cd, [z]) == [cd[1] * z + cd[0]]
+
+
+def test_the_second_form_next_to_a_node():
+    ns = NodeSet(equispaced_points(54))
+    w, data = gen_bary_weights(ns), constant_data(ns)
+    assert not cmath.isfinite(orc.second_form_at(w, data, 1e-300))
+    assert eval_second_form(w, data, [1e-300, 0.3]) == [1.0, orc.second_form_at(w, data, 0.3)]
+    w, values = gen_bary_weights(NodeSet([0.0, 0.5, 1.0])), [1.0, 2.0, 3.0]
+    for form, at in ((eval_first_form, orc.first_form_at), (eval_second_form, orc.second_form_at)):
+        assert not cmath.isfinite(at(w, values, 5e-324))
+        assert form(w, values, [5e-324, 1e-300]) == [1.0, at(w, values, 1e-300)]
+
+
+def test_non_finite_values_that_no_node_explains_stay():
+    # a genuine overflow: w(z) times the pole sum passes the float range ten units from the nodes
+    w = gen_bary_weights(NodeSet([0.0, 1.0]))
+    assert hermite_eval(w, [0.0, 1e308], [10.0]) == [float("inf")]
+    # data that are not finite, points that are not, and a far complex point stay as computed
+    w = gen_bary_weights(NodeSet([0.0, 0.5, 1.0]))
+    inf, nan = float("inf"), float("nan")
+    for data, zs in (([1.0, inf, 3.0], [5e-324, 0.25]), ([1.0, 2.0, 3.0], [nan, inf, -inf])):
+        assert [repr(v) for v in hermite_eval(w, data, zs)] == \
+            [repr(orc.first_form_at(w, data, z)) for z in zs]
+    # exact values past the float range are finite: the float check of the grid cannot take
+    # them, so they are taken one point at a time, unchanged
+    w = gen_bary_weights(NodeSet([0, 1]))
+    assert hermite_eval(w, [0, 10**400], [Fraction(1, 2), 3]) == [Fraction(10**400, 2), 3 * 10**400]
+    cw = gen_bary_weights(NodeSet([0j, 0.5 + 0.5j, 1 + 0j]))
+    far = [complex(1.7e308, 1.7e308), complex(nan, 0)]
+    assert [repr(v) for v in hermite_eval(cw, [1j, 2j, 3j], far)] == \
+        [repr(orc.first_form_at(cw, [1j, 2j, 3j], z)) for z in far]
+
+
 def test_empty_lists_and_bad_counts():
     w = gen_bary_weights(NodeSet([-1.0, 0.0, 1.0], [2, 1, 1]))
     assert hermite_eval(w, constant_data(w.nodes), []) == []

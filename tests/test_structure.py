@@ -105,12 +105,18 @@ def test_monomial_images_ones_and_bounds():
 
 
 def _images_as_reference(basis):
-    """monomial_images of a degree-graded basis against the former recurrence, by type and repr."""
-    rec, dim = basis.recurrence, basis.dimension
-    want = orc.monomial_images_by_fractions(rec.alpha, rec.beta, rec.gamma, dim)
-    got = monomial_images(basis)
-    assert (got.rows, got.cols, got.field) == (dim, dim, rec.field)
+    """monomial_images against the former column loops, by type and repr, and a rational
+    result's integer rows against those cleared from the reference's Fractions."""
+    if isinstance(basis, BernsteinBasis):
+        want, field = orc.bernstein_images_by_fractions(basis.degree), Field.RATIONAL
+    else:
+        rec, field = basis.recurrence, basis.recurrence.field
+        want = orc.monomial_images_by_fractions(rec.alpha, rec.beta, rec.gamma, basis.dimension)
+    got, dim = monomial_images(basis), basis.dimension
+    assert (got.rows, got.cols, got.field) == (dim, dim, field)
     assert _typed(got.entries) == _typed([x for row in want for x in row]), basis
+    if field is Field.RATIONAL:
+        assert got._int_rows() == DenseMatrix.from_rows(want)._int_rows(), basis
 
 
 def test_degree_graded_images_agree_with_the_fraction_recurrence():
@@ -133,10 +139,36 @@ def test_degree_graded_images_agree_with_the_fraction_recurrence():
         _images_as_reference(DegreeGradedBasis(RecurrenceSpec(*coefficients), degree))
 
 
+def test_bernstein_images_agree_with_the_binomial_fractions():
+    for degree in range(41):
+        _images_as_reference(BernsteinBasis(degree))
+
+
 def test_floating_degree_graded_images_keep_the_floating_recurrence():
     for centres in ([math.cos((2 * k + 1) * math.pi / 40) for k in range(20)],
                     [complex(math.cos(k), math.sin(k) / 3) for k in range(9)]):
         _images_as_reference(newton_basis(centres))
+
+
+def test_floating_images_keep_the_column_loop_on_seeded_recurrences():
+    """600 real and complex recurrences: signed zeros, 1e-300 and -2.5e200 coefficients whose
+    products underflow or overflow, zero beta or gamma, and recurrences longer than the degree."""
+    rng = random.Random(1919)
+    specials = (0.0, -0.0, 1e-300, -2.5e200, 1.0, -1.0)
+    def draw(cplx, nonzero=False):
+        while True:
+            x, y = (rng.choice(specials) if rng.random() < 0.3 else rng.uniform(-3, 3)
+                    for _ in range(2))
+            x = complex(x, y) if cplx else x
+            if x != 0 or not nonzero:
+                return x
+    for case in range(600):
+        cplx, degree = case % 2 == 1, rng.randint(0, 12)
+        terms = max(degree + rng.randint(0, 3), 1)
+        alpha = [draw(cplx, nonzero=True) for _ in range(terms)]
+        beta, gamma = ([draw(cplx) for _ in range(terms)] if rng.random() < 0.8 else None
+                       for _ in range(2))
+        _images_as_reference(DegreeGradedBasis(RecurrenceSpec(alpha, beta, gamma), degree))
 
 
 # ---------------------------------------------------------------- V and J
