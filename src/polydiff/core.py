@@ -18,7 +18,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import index, mul
 
 
 class Field(Enum):
@@ -75,15 +75,21 @@ def coerce_scalar(x, field: Field):
 _SCALAR_TYPE = {Field.RATIONAL: Fraction, Field.REAL: float, Field.COMPLEX: complex}
 
 
-def _coerce_all(values, field: Field) -> tuple:
-    """``coerce_scalar`` over every value: one pass into a floating field from the
-    plain number types, a Fraction's float being numerator / denominator (what
-    float() computes); otherwise value by value, so a refused demotion names the first."""
-    values, plain = tuple(values), {bool, int, Fraction, float, _SCALAR_TYPE[field]}
-    if field is Field.RATIONAL or not set(map(type, values)) <= plain:
-        return tuple([coerce_scalar(x, field) for x in values])
-    return tuple(map(_SCALAR_TYPE[field], [x.numerator / x.denominator if type(x) is Fraction
-                                           else x for x in values]))
+def _coerce_all(values, field: Field | None = None) -> tuple:
+    """(field, values coerced into it), ``field`` by default the smallest holding the rationals and
+    every value.  Values all of the field's type come back as the same tuple; plain numbers go into
+    a floating field in one pass, a Fraction's float being numerator / denominator (what float()
+    computes), the rest value by value, so a refused value is the first."""
+    values = tuple(values)
+    if field is None:
+        field = join_fields(Field.RATIONAL, *map(field_of, values))
+    types, kind = set(map(type, values)), _SCALAR_TYPE[field]
+    if types <= {kind}:
+        return field, values
+    if field is Field.RATIONAL or not types <= {bool, int, Fraction, float, kind}:
+        return field, tuple([coerce_scalar(x, field) for x in values])
+    return field, tuple(map(kind, [x.numerator / x.denominator if type(x) is Fraction
+                                   else x for x in values]))
 
 
 def _integer_scaled(xs) -> tuple[int, list[int]]:
@@ -141,11 +147,7 @@ class DenseMatrix:
         entries = tuple(entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        if field is None:
-            field = join_fields(Field.RATIONAL, *(field_of(e) for e in entries))
-        # entries already of the field's own type coerce to themselves
-        if not set(map(type, entries)) <= {_SCALAR_TYPE[field]}:
-            entries = _coerce_all(entries, field)
+        field, entries = _coerce_all(entries, field)
         self.rows = rows
         self.cols = cols
         self.field = field
@@ -267,13 +269,12 @@ class NodeSet:
             raise ValueError("need at least one node")
         if confluencies is None:
             confluencies = (1,) * len(nodes)
-        confluencies = tuple(int(s) for s in confluencies)
+        confluencies = tuple(map(index, confluencies))
         if len(confluencies) != len(nodes):
             raise ValueError("one confluency per node required")
         if any(s < 1 for s in confluencies):
             raise ValueError("confluencies must be at least 1")
-        field = join_fields(*(field_of(t) for t in nodes))
-        nodes = _coerce_all(nodes, field)
+        field, nodes = _coerce_all(nodes)
         if not all_finite(field, nodes):
             raise ValueError("nodes must be finite numbers")
         # equal numbers hash equal, so each value maps to its last index
@@ -327,12 +328,12 @@ class DegreeGradedBasis:
     __slots__ = ("recurrence", "degree", "name")
 
     def __init__(self, recurrence, degree: int, name: str = "degree-graded"):
-        if degree < 0:
+        self.degree = index(degree)
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if len(recurrence) < degree:
-            raise ValueError(f"recurrence too short for degree {degree}")
+        if len(recurrence) < self.degree:
+            raise ValueError(f"recurrence too short for degree {self.degree}")
         self.recurrence = recurrence
-        self.degree = degree
         self.name = name
 
     @property
@@ -376,9 +377,9 @@ class BernsteinBasis:
     __slots__ = ("degree",)
 
     def __init__(self, degree: int):
-        if degree < 0:
+        self.degree = index(degree)
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        self.degree = degree
 
     @property
     def dimension(self) -> int:
@@ -405,12 +406,11 @@ def mat_apply(M: DenseMatrix, v) -> tuple:
 
 
 def mat_inf_norm(M: DenseMatrix):
-    """Max absolute row sum.  Exact (a Fraction) on rational matrices."""
-    if M.rows == 0:
-        return zero_of(Field.RATIONAL)
+    """Max absolute row sum, zero without entries: a Fraction on rational matrices, else a float."""
     if M.field is Field.RATIONAL:
-        return max(Fraction(sum(map(abs, nums)), den) for den, nums in M._int_rows())
-    return max(sum(abs(e) for e in M.row(i)) for i in range(M.rows))
+        return max((Fraction(sum(map(abs, nums)), den) for den, nums in M._int_rows()),
+                   default=Fraction(0))
+    return max((sum(map(abs, M.row(i)), 0.0) for i in range(M.rows)), default=0.0)
 
 
 def vec_inf_norm(v):

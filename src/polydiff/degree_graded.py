@@ -26,9 +26,6 @@ from .core import (
     _coerce_all,
     _integer_scaled,
     all_finite,
-    coerce_scalar,
-    field_of,
-    join_fields,
     zero_of,
 )
 
@@ -51,10 +48,9 @@ class RecurrenceSpec:
             raise ValueError("alpha, beta, gamma must have equal length")
         if any(a == 0 for a in alpha):
             raise ValueError("every alpha_j must be nonzero")
-        field = join_fields(Field.RATIONAL,
-                            *(field_of(x) for x in alpha + beta + gamma))
-        self.alpha, self.beta, self.gamma = (_coerce_all(v, field) for v in (alpha, beta, gamma))
-        if not all_finite(field, self.alpha + self.beta + self.gamma):
+        field, abg = _coerce_all(alpha + beta + gamma)
+        self.alpha, self.beta, self.gamma = abg[:n], abg[n:2 * n], abg[2 * n:]
+        if not all_finite(field, abg):
             raise ValueError("recurrence coefficients must be finite numbers")
         self.field = field
 
@@ -88,9 +84,7 @@ def legendre_recurrence(n: int) -> RecurrenceSpec:
 def newton_recurrence(points) -> RecurrenceSpec:
     """x N_j = N_{j+1} + z_j N_j for the Newton basis on centers z_j."""
     points = tuple(points)
-    field = join_fields(Field.RATIONAL, *(field_of(z) for z in points))
-    one = coerce_scalar(1, field)
-    return RecurrenceSpec((one,) * len(points), points, None)
+    return RecurrenceSpec((1,) * len(points), points, None)
 
 
 def monomial_basis(n: int):

@@ -82,28 +82,25 @@ def _local_series(nodes: NodeSet, extra: int):
     u = z - t_i.  Each linear factor (u + t_i - t_m) is multiplied into
     every node's list at once, g_0 <- g_0 c and g_t <- g_{t-1} + c g_t,
     and node m's own entries are then restored: each coefficient sees a
-    node-by-node product's operations in order.  Nodes are held by falling
-    confluency, so those that need order t are a prefix where ``zip`` stops.
+    node-by-node product's operations in order.  Every node carries
+    max(s) + extra orders, in node order, and keeps its first s_i + extra.
     Rational nodes run over the integers ts = T = L t instead, giving
     h_i(v) = prod_{m != i} (T_i - T_m + v)^(s_m) = L^(dim - s_i) g_i(v / L).
     """
     exact, confs = nodes.field is Field.RATIONAL, nodes.confluencies
     L, ts = _integer_scaled(nodes.nodes) if exact else (1, nodes.nodes)
     one, zero = (1, 0) if exact else (one_of(nodes.field), zero_of(nodes.field))
-    rank = sorted(range(len(ts)), key=confs.__getitem__, reverse=True)
-    pos = {i: k for k, i in enumerate(rank)}
-    # g[t][pos[i]]: coefficient t of node i's product so far
-    g = [[one] * len(ts)] + [[zero] * sum(s + extra > t for s in confs)
-                             for t in range(1, max(confs) + extra)]
+    # g[t][i]: coefficient t of node i's product so far
+    g = [[one] * len(ts)] + [[zero] * len(ts) for _ in range(1, max(confs) + extra)]
     for m, (tm, sm) in enumerate(zip(ts, confs)):
-        cs, k = [ts[i] - tm for i in rank], pos[m]
+        cs = [ti - tm for ti in ts]
         for _ in range(sm):
             new = [list(map(mul, g[0], cs))]
             new += [[p + c * q for p, c, q in zip(prev, cs, cur)] for prev, cur in zip(g, g[1:])]
             for row, old in zip(new, g):
-                row[k:k + 1] = old[k:k + 1]
+                row[m] = old[m]
             g = new
-    return L, ts, [[row[pos[i]] for row in g[:s + extra]] for i, s in enumerate(confs)]
+    return L, ts, [[row[i] for row in g[:s + extra]] for i, s in enumerate(confs)]
 
 
 def _integer_reciprocal(h, si: int) -> list:

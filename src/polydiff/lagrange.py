@@ -9,6 +9,8 @@ the diagonal of the core's matrix in place with the negative sum.
 
 from __future__ import annotations
 
+import math
+
 from .core import DenseMatrix, Field, NodeSet, as_node_set, zero_of
 from .hermite import (
     GenBaryWeights,
@@ -42,10 +44,12 @@ def eval_first_form(w: GenBaryWeights, values, zs) -> list:
 
 def eval_second_form(w: GenBaryWeights, values, zs) -> list:
     """Second barycentric form at every z in zs: the pole sum over the values divided by
-    the pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's."""
+    the pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's.
+    Far out, where the pole sum over ones is 0.0, the value is nan, as the first form gives."""
     _simple_nodes(w.nodes)
     return _at_points(w, values, zs, lambda v, rest: [
-        a / b for a, b in zip(_pole_sums(w, v, rest), _pole_sums(w, constant_data(w.nodes), rest))])
+        a / b if b else a * math.nan
+        for a, b in zip(_pole_sums(w, v, rest), _pole_sums(w, constant_data(w.nodes), rest))])
 
 
 def diff_matrix_lagrange(nodes) -> DenseMatrix:

@@ -15,7 +15,16 @@ from itertools import chain, repeat
 from math import comb
 from operator import add, mul
 
-from polydiff.core import SingularMatrixError
+from polydiff.core import (
+    Field,
+    SingularMatrixError,
+    _integer_scaled,
+    coerce_scalar,
+    field_of,
+    join_fields,
+    one_of,
+    zero_of,
+)
 
 
 # ---------------------------------------------------------- polynomials
@@ -335,6 +344,52 @@ def mat_power_by_products(rows, k):
     for _ in range(k):
         out = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in out]
     return out
+
+
+# ---------------------------------------------------------- former bookkeeping
+# The package's former constructor bookkeeping, kept as written: the field
+# rule as ``DenseMatrix`` ran it and the Taylor coefficients of the g_i with
+# the nodes held by falling confluency.  The one field rule and the node
+# order that replaced them must give the same values, by type and repr.
+
+_SCALAR_TYPE = {Field.RATIONAL: Fraction, Field.REAL: float, Field.COMPLEX: complex}
+
+
+def coerce_all_by_passes(values, field=None):
+    """(field, values coerced into it): ``DenseMatrix``'s former join and type-set skip
+    in front of the former ``_coerce_all`` and its two passes."""
+    values = tuple(values)
+    if field is None:
+        field = join_fields(Field.RATIONAL, *(field_of(e) for e in values))
+    if set(map(type, values)) <= {_SCALAR_TYPE[field]}:
+        return field, values
+    plain = {bool, int, Fraction, float, _SCALAR_TYPE[field]}
+    if field is Field.RATIONAL or not set(map(type, values)) <= plain:
+        return field, tuple([coerce_scalar(x, field) for x in values])
+    return field, tuple(map(_SCALAR_TYPE[field], [x.numerator / x.denominator if type(x) is Fraction
+                                                  else x for x in values]))
+
+
+def local_series_by_rank(nodes, extra):
+    """(L, ts, coefficients) of the g_i as the package formed them with the nodes ranked by
+    falling confluency: row t holds only the nodes that need order t, a prefix, and each
+    factor restores its own node's entries by a slice that may fall past a short row."""
+    exact, confs = nodes.field is Field.RATIONAL, nodes.confluencies
+    L, ts = _integer_scaled(nodes.nodes) if exact else (1, nodes.nodes)
+    one, zero = (1, 0) if exact else (one_of(nodes.field), zero_of(nodes.field))
+    rank = sorted(range(len(ts)), key=confs.__getitem__, reverse=True)
+    pos = {i: k for k, i in enumerate(rank)}
+    g = [[one] * len(ts)] + [[zero] * sum(s + extra > t for s in confs)
+                             for t in range(1, max(confs) + extra)]
+    for m, (tm, sm) in enumerate(zip(ts, confs)):
+        cs, k = [ts[i] - tm for i in rank], pos[m]
+        for _ in range(sm):
+            new = [list(map(mul, g[0], cs))]
+            new += [[p + c * q for p, c, q in zip(prev, cs, cur)] for prev, cur in zip(g, g[1:])]
+            for row, old in zip(new, g):
+                row[k:k + 1] = old[k:k + 1]
+            g = new
+    return L, ts, [[row[pos[i]] for row in g[:s + extra]] for i, s in enumerate(confs)]
 
 
 # ---------------------------------------------------------- basis elements

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polydiff import core
 from polydiff.core import (
     BernsteinBasis,
     DegreeGradedBasis,
@@ -27,7 +28,7 @@ from polydiff.core import (
     zero_of,
 )
 from polydiff.bernstein import diff_matrix_bernstein
-from polydiff.degree_graded import monomial_recurrence
+from polydiff.degree_graded import RecurrenceSpec, monomial_recurrence, newton_recurrence
 from polydiff.structure import nilpotency_index
 
 import _oracles as orc
@@ -66,6 +67,139 @@ def test_coerced_values_have_canonical_types():
     assert isinstance(coerce_scalar(3, Field.REAL), float)
     assert isinstance(coerce_scalar(3, Field.COMPLEX), complex)
     assert zero_of(Field.REAL) == 0.0 and isinstance(zero_of(Field.REAL), float)
+
+
+# ---------------------------------------------------------------- the field rule
+# ``_coerce_all`` is the one rule by which DenseMatrix, NodeSet and RecurrenceSpec
+# read their scalars; ``_oracles.coerce_all_by_passes`` keeps the rule as
+# DenseMatrix ran it before.  Outcomes are compared by type and repr, errors by
+# class and message, so a refused value must still be the first.
+
+class _Real(float):
+    """A float subclass: not a plain number type, so it is coerced value by value."""
+
+
+def _mixed_scalar(rng, finite=False):
+    pick = rng.randrange(8 if finite else 10)
+    if pick == 0:
+        return rng.random() < 0.5
+    if pick == 1:
+        return rng.randint(-1000, 1000)
+    if pick == 2:
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+    if pick == 3:
+        return rng.choice([0.5, -0.0, 0.0, 1e-300, -2.5e200, rng.uniform(-3, 3)])
+    if pick == 4:
+        return complex(rng.uniform(-2, 2), rng.choice([0.0, -0.0, 1.5]))
+    if pick == 5:
+        return _Real(rng.uniform(-1, 1))
+    if pick == 6:
+        return Fraction(rng.randint(1, 9), 7)
+    if pick == 7:
+        return rng.uniform(-9, 9)
+    if pick == 8:   # past the float range (an int, a Fraction), or not finite
+        return rng.choice([10 ** 320, Fraction(-(10 ** 400), 3), float("nan"), -float("inf")])
+    return rng.choice(["3/4", None])
+
+
+def _outcome(make):
+    try:
+        field, values = make()
+    except (TypeError, ValueError, OverflowError) as exc:   # FieldError is a ValueError
+        return type(exc), str(exc)
+    return field, [(type(x), repr(x)) for x in values]
+
+
+MIXED = [[_mixed_scalar(rng) for _ in range(rng.randint(0, 7))]
+         for rng in [random.Random(41)] for _ in range(500)]
+
+
+def test_the_mixed_inputs_cover_every_scalar_type_and_outcome():
+    types = {type(x) for vals in MIXED for x in vals}
+    assert {bool, int, Fraction, float, complex, _Real, str, type(None)} <= types
+    outcomes = [_outcome(lambda: orc.coerce_all_by_passes(vals, field))
+                for vals in MIXED for field in (None, *Field)]
+    assert {o[0] for o in outcomes} >= {TypeError, FieldError, OverflowError, *Field}
+
+
+@pytest.mark.parametrize("field", [None, *Field], ids=lambda f: f.value if f else "inferred")
+def test_one_field_rule_equals_the_former_join_skip_and_passes(field):
+    for vals in MIXED:
+        want = _outcome(lambda: orc.coerce_all_by_passes(vals, field))
+        for given in (vals, tuple(vals), iter(vals)):
+            assert _outcome(lambda: core._coerce_all(given, field)) == want
+        assert _outcome(lambda: _matrix_read(vals, field)) == want
+
+
+def _matrix_read(values, field):
+    M = DenseMatrix(1, len(values), values, field)
+    return M.field, M.entries
+
+
+def _node_read(nodes):
+    ns = NodeSet(nodes)
+    return ns.field, ns.nodes
+
+
+def test_refused_values_are_named_first_come():
+    with pytest.raises(TypeError, match=r"not a supported scalar: '3/4'"):
+        core._coerce_all([1, 0.5, "3/4", None, 2j])
+    with pytest.raises(TypeError, match=r"not a supported scalar: None"):
+        NodeSet([0.5, None, "3/4"])
+    with pytest.raises(FieldError, match=r"complex value 2j to real"):
+        core._coerce_all([_Real(1.0), 2j, "3/4"], Field.REAL)
+    with pytest.raises(TypeError, match=r"not a supported scalar: '3/4'"):
+        core._coerce_all([_Real(1.0), "3/4", 2j], Field.REAL)
+    with pytest.raises(FieldError, match=r"real value 0.5 to rational"):
+        DenseMatrix(1, 3, [Fraction(1), 0.5, 1j], Field.RATIONAL)
+    with pytest.raises(TypeError, match=r"not a supported scalar: '1'"):
+        RecurrenceSpec([1, 2], [0.5, "1"], [None, 3])
+
+
+def test_an_already_typed_tuple_comes_back_as_itself():
+    cases = [((), None), ((Fraction(1, 2), Fraction(3)), None), ((Fraction(1), Fraction(2)), Field.RATIONAL),
+             ((0.5, -0.0), None), ((0.5, -0.0), Field.REAL), ((1j, 0j), None), ((1j, 2 + 0j), Field.COMPLEX)]
+    for values, field in cases:
+        assert core._coerce_all(values, field)[1] is values
+        assert DenseMatrix(1, len(values), values, field).entries is values
+    nodes = (0.5, -1.5, 2.0)
+    assert NodeSet(nodes).nodes is nodes
+    # an int is not a Fraction, nor a float a complex: those are coerced into new tuples
+    assert core._coerce_all((1, 2))[1] == (Fraction(1), Fraction(2))
+    assert type(core._coerce_all((0.5,), Field.COMPLEX)[1][0]) is complex
+
+
+def _distinct_finite(rng, count):
+    seen = {}
+    for _ in range(count):
+        x = _mixed_scalar(rng, finite=True)
+        seen.setdefault(x, x)
+    return list(seen.values())
+
+
+def test_constructors_read_their_scalars_by_the_former_rule():
+    rng, mixed = random.Random(43), 0
+    for _ in range(300):
+        nodes = _distinct_finite(rng, rng.randint(1, 6))
+        want = _outcome(lambda: orc.coerce_all_by_passes(nodes))
+        assert _outcome(lambda: _node_read(nodes)) == want
+        n = rng.randint(0, 5)
+        alpha = [x for x in (_mixed_scalar(rng, finite=True) for _ in range(3 * n)) if x != 0][:n]
+        n = len(alpha)
+        beta, gamma = ([_mixed_scalar(rng, finite=True) for _ in range(n)] for _ in range(2))
+        field, _ = orc.coerce_all_by_passes(alpha + beta + gamma)
+        rec = RecurrenceSpec(alpha, beta, gamma)
+        assert rec.field is field
+        for got, given in zip((rec.alpha, rec.beta, rec.gamma), (alpha, beta, gamma)):
+            assert _outcome(lambda: (field, got)) == _outcome(lambda: orc.coerce_all_by_passes(given, field))
+        # the former newton_recurrence coerced its ones into the centres' field itself
+        rec, one = newton_recurrence(nodes), coerce_scalar(1, want[0])
+        assert (rec.field, _typed(rec.alpha)) == (want[0], _typed([one] * len(nodes)))
+        assert _outcome(lambda: (rec.field, rec.beta)) == want
+        assert _outcome(lambda: (rec.field, rec.gamma)) == \
+            _outcome(lambda: orc.coerce_all_by_passes([0] * len(nodes), want[0]))
+        mixed += len({type(x) for x in nodes}) > 1
+    assert mixed > 100
 
 
 # ---------------------------------------------------------------- matrices
@@ -324,6 +458,16 @@ def test_mat_power_by_squaring_equals_the_repeated_product():
             assert [repr(x) for x in mat_power(M, k).entries] == [repr(x) for x in want]
 
 
+def test_inf_norm_without_entries_is_a_zero_of_the_norms_type():
+    # rational matrices have rational norms, floating ones (complex too: abs is real) float norms
+    for field, zero in ((Field.RATIONAL, Fraction(0)), (Field.REAL, 0.0), (Field.COMPLEX, 0.0)):
+        for rows, cols in ((0, 0), (0, 3), (3, 0)):
+            norm = mat_inf_norm(DenseMatrix.zeros(rows, cols, field))
+            assert (type(norm), repr(norm)) == (type(zero), repr(zero))
+    assert repr(mat_inf_norm(DenseMatrix.from_rows([[-0.0, 0.0]]))) == "0.0"
+    assert repr(mat_inf_norm(DenseMatrix.from_rows([[3j, -4.0], [1 + 0j, 0j]]))) == "7.0"
+
+
 def test_norms_are_exact_on_rationals():
     M = DenseMatrix.from_rows([[Fraction(1, 3), Fraction(-1, 3)], [1, 0]])
     norm = mat_inf_norm(M)
@@ -415,6 +559,22 @@ def test_node_set_names_the_duplicate_the_pair_loop_named():
             NodeSet(nodes)
         assert str(exc.value) == f"duplicate node {want!r}; use a confluency instead"
     assert 0 < named < len(cases)
+
+
+def test_counts_must_be_integers():
+    for conf in ([2.7, 1], ["2", True], [2.0, 1], [Fraction(2), 1], [1, None]):
+        with pytest.raises(TypeError):
+            NodeSet([0, 1], conf)
+    ns = NodeSet([0, 1], [True, 2])
+    assert ns.confluencies == (1, 2) and {type(s) for s in ns.confluencies} == {int}
+    for make in (lambda d: DegreeGradedBasis(monomial_recurrence(3), d), BernsteinBasis):
+        for bad in (2.5, 2.0, "2", Fraction(2), None):
+            with pytest.raises(TypeError):
+                make(bad)
+        basis = make(True)
+        assert basis.dimension == 2 and type(basis.degree) is int
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(-1)
 
 
 def test_node_set_joins_fields():

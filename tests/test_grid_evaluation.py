@@ -9,6 +9,7 @@ compared by ``repr``, which tells apart every float, ``-0.0`` from
 
 import cmath
 import importlib
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -158,6 +159,23 @@ def test_the_second_form_next_to_a_node():
     for form, at in ((eval_first_form, orc.first_form_at), (eval_second_form, orc.second_form_at)):
         assert not cmath.isfinite(at(w, values, 5e-324))
         assert form(w, values, [5e-324, 1e-300]) == [1.0, at(w, values, 1e-300)]
+
+
+def test_both_forms_far_from_the_nodes():
+    # far out each 1/(z - t) is 0.0 (at inf) or the pole sums cancel to 0.0 (from 1e160):
+    # the second form gives nan there, as the first does, as a grid and point by point
+    far = [float("inf"), -float("inf"), 1e160, 1e200, 1e300]
+    w, values = gen_bary_weights(NodeSet([0.0, 0.5, 1.0])), [1.0, 2.0, 3.0]
+    for zs in [[z] for z in far] + [far + [2.0]]:
+        want = [math.nan if z in far else orc.second_form_at(w, values, z) for z in zs]
+        assert [repr(v) for v in eval_second_form(w, values, zs)] == [repr(v) for v in want]
+        assert [repr(v) for v in eval_first_form(w, values, zs)] == \
+            [repr(orc.first_form_at(w, values, z)) for z in zs]
+    # the first form gives nan too, though p(z) = 2z + 1 is finite at 1e160: w(z) is inf there
+    assert [repr(v) for v in eval_first_form(w, values, far)] == ["nan"] * len(far)
+    cw = gen_bary_weights(NodeSet([0j, 0.5 + 0j, 1 + 0j]))
+    got = eval_second_form(cw, [1 + 0j, 2 + 0j, 3 + 0j], far)
+    assert [(type(v), repr(v)) for v in got] == [(complex, "(nan+nanj)")] * len(far)
 
 
 def test_non_finite_values_that_no_node_explains_stay():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from polydiff import hermite
 from polydiff.core import DenseMatrix, HermiteBasis, NodeSet, mat_apply
 from polydiff.experiments import chebyshev_points
 from polydiff.hermite import (
@@ -277,3 +278,40 @@ def test_integer_kernel_equals_the_fraction_weights_and_rows():
         assert [_typed(row) for row in gen_bary_weights(ns).weights] == [_typed(row) for row in want]
         want = orc.diff_matrix_hermite_by_fractions(ns.nodes, ns.confluencies)
         assert _typed(diff_matrix_hermite(ns).entries) == _typed(x for row in want for x in row)
+
+
+# ---------------------------------------------------------------- node order
+
+def _mixed_node_sets(rng, count):
+    """Rational, real and complex node sets of 1 to 7 nodes at mixed confluencies 1 to 4."""
+    for k in range(count):
+        kind, ts = k % 3, []
+        while len(ts) < rng.randint(1, 7):
+            t = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            t = (t, float(t) + rng.uniform(-0.01, 0.01), complex(t, rng.choice([0.0, -0.0, 0.5])))[kind]
+            if t not in ts:
+                ts.append(t)
+        yield NodeSet(ts, [rng.randint(1, 4) for _ in ts])
+
+
+MIXED_NODE_SETS = list(_mixed_node_sets(random.Random(47), 700))
+
+
+def test_local_series_in_node_order_equals_the_falling_confluency_order():
+    assert {ns.field.value for ns in MIXED_NODE_SETS} == {"rational", "real", "complex"}
+    assert sum(len(set(ns.confluencies)) > 1 for ns in MIXED_NODE_SETS) > 400
+    for ns in MIXED_NODE_SETS:
+        for extra in (0, 1):
+            L, ts, got = hermite._local_series(ns, extra)
+            want_L, want_ts, want = orc.local_series_by_rank(ns, extra)
+            assert (L, _typed(ts)) == (want_L, _typed(want_ts))
+            assert [_typed(g) for g in got] == [_typed(g) for g in want]
+
+
+def test_weights_and_matrix_equal_those_of_the_falling_confluency_order(monkeypatch):
+    sets = MIXED_NODE_SETS[:150]
+    got = [(gen_bary_weights(ns).weights, diff_matrix_hermite(ns).entries) for ns in sets]
+    monkeypatch.setattr(hermite, "_local_series", orc.local_series_by_rank)
+    for ns, (weights, entries) in zip(sets, got):
+        assert [_typed(row) for row in weights] == [_typed(row) for row in gen_bary_weights(ns).weights]
+        assert _typed(entries) == _typed(diff_matrix_hermite(ns).entries)
