@@ -28,9 +28,11 @@ rationals.  At confluency 1 they are the barycentric weights
 1 / prod_{m != i} (t_i - t_m).
 
 ``hermite_eval`` and ``node_polynomial_value`` take any iterable of points and
-return a list, in one node-major pass doing each point's float operations of a
-point-by-point loop, in order.  A point that hits a node gets its stored value,
-one that overflows next to a node its Taylor polynomial (see ``_at_points``).
+return a list, doing each point's float operations of a point-by-point loop, in
+order; ``hermite_eval`` in one pass per node that multiplies the node's factors into
+w(z) and adds its share to the pole sum (see ``_pole_sums``).  A point that hits a
+node gets its stored value, one that overflows next to a node its Taylor polynomial
+(see ``_at_points``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add, mul, truediv
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .core import (
@@ -144,26 +146,35 @@ def gen_bary_weights(nodes) -> GenBaryWeights:
     return GenBaryWeights(nodes, tuple(rows))
 
 
-def _pole_sums(w: GenBaryWeights, data, zs: list) -> list:
-    """sum_{i, k <= j} b_{i,j} d_{i,k} / (z - t_i)^(j+1-k) at each z off the nodes in O(dim):
-    per node, Horner in u = 1/(z - t_i), P_0 = d_{i,0} and P_j = u P_{j-1} + d_{i,j},
-    gives the share u sum_j b_{i,j} P_j; shares are added node by node, left to right."""
-    out = None
+def _pole_sums(w: GenBaryWeights, data, zs: list, times_w: bool = False) -> list:
+    """sum_{i, k <= j} b_{i,j} d_{i,k} / (z - t_i)^(j+1-k) at each z off the nodes in O(dim),
+    times w(z) with times_w: per node, Horner in u = 1/(z - t_i), P_0 = d_{i,0} and
+    P_j = u P_{j-1} + d_{i,j}, gives the share u sum_j b_{i,j} P_j, added left to right in the
+    pass that multiplies in the node's factors of w; both start as the first node's list."""
+    ws = out = None
     for t, row, o in zip(w.nodes.nodes, w.weights, w.nodes.offsets):
+        for _ in range(len(row) if times_w else 0):
+            ws = [z - t for z in zs] if ws is None else [p * (z - t) for p, z in zip(ws, zs)]
+        c, b, d = row[0] * data[o], row[-1], data[o + len(row) - 1]
+        if len(row) == 1:   # the share c u, added in the same pass
+            out = [c * (1 / (z - t)) for z in zs] if out is None else \
+                [a + c * (1 / (z - t)) for a, z in zip(out, zs)]
+            continue
         us = [1 / (z - t) for z in zs]
-        ps = [data[o]] * len(zs)
-        local = [row[0] * data[o]] * len(zs)
-        for b, d in zip(row[1:], data[o + 1:o + len(row)]):
-            ps = [p * u + d for p, u in zip(ps, us)]
-            local = [acc + b * p for acc, p in zip(local, ps)]
-        shares = list(map(mul, local, us))
-        out = shares if out is None else list(map(add, out, shares))
-    return out
+        ps, local = [data[o]] * len(zs), [c] * len(zs)
+        for bj, dj in zip(row[1:-1], data[o + 1:o + len(row) - 1]):
+            ps = [p * u + dj for p, u in zip(ps, us)]
+            local = [acc + bj * p for acc, p in zip(local, ps)]
+        # the last Horner step, the share and the add in one pass
+        out = [(l + b * (p * u + d)) * u for l, p, u in zip(local, ps, us)] if out is None else \
+            [a + (l + b * (p * u + d)) * u for a, l, p, u in zip(out, local, ps, us)]
+    return list(map(mul, ws, out)) if times_w else out
 
 
 def _at_points(w: GenBaryWeights, data, zs, off_nodes) -> list:
     """Stored values at node hits (== to a node: -0.0 hits 0.0), off_nodes(data, rest) at the rest;
-    a grid that divides by zero or has a value that is not finite is redone by ``_near_node``."""
+    a value that is not finite is redone by ``_near_node``, and so is the whole grid where it
+    divides by zero or an exact value is past the float range."""
     data = tuple(data)
     if len(data) != w.nodes.dimension:
         raise ValueError(f"expected {w.nodes.dimension} data entries, got {len(data)}")
@@ -174,9 +185,9 @@ def _at_points(w: GenBaryWeights, data, zs, off_nodes) -> list:
         vals = list(off_nodes(data, rest))
         total = sum(vals, 0.0)   # a float sum is finite only if every value is
     except (ZeroDivisionError, OverflowError):   # a zero difference, or an exact value past floats
-        total = math.nan
+        vals, total = [_near_node(w, data, z, off_nodes) for z in rest], 0.0
     if total - total != 0:
-        vals = [_near_node(w, data, z, off_nodes) for z in rest]
+        vals = [v if v - v == 0 else _near_node(w, data, z, off_nodes) for v, z in zip(vals, rest)]
     rest = iter(vals)
     return [stored[z] if z in stored else next(rest) for z in zs]
 
@@ -206,10 +217,11 @@ def hermite_eval(w: GenBaryWeights, data, zs) -> list:
 
     p(z) = w(z) sum_i sum_j sum_{k <= j} b_{i,j} d_{i,k} / (z-t_i)^(j+1-k),
     where d are the layout entries.  A point that hits a node returns the
-    stored value there (see ``_at_points``).
+    stored value there (see ``_at_points``).  Far from the nodes the value can
+    be nan where p is finite: at z = 1e160 for nodes [0, 0.5, 1], w(z) is inf
+    and the pole sum cancels to 0.0; no double-precision form recovers it.
     """
-    return _at_points(w, data, zs, lambda d, rest: map(
-        mul, node_polynomial_value(w.nodes, rest), _pole_sums(w, d, rest)))
+    return _at_points(w, data, zs, lambda d, rest: _pole_sums(w, d, rest, times_w=True))
 
 
 def monomial_data(nodes, k: int) -> tuple:

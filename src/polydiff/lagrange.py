@@ -37,7 +37,8 @@ def bary_weights(nodes) -> GenBaryWeights:
 
 def eval_first_form(w: GenBaryWeights, values, zs) -> list:
     """First barycentric form w(z) * sum beta_k rho_k / (z - t_k) at every z in zs;
-    a point that hits a node returns the stored value for that node."""
+    a point that hits a node returns the stored value for that node.  Far out the
+    value can be nan, as ``hermite_eval`` says: w(z) overflows while the sum cancels."""
     _simple_nodes(w.nodes)
     return hermite_eval(w, values, zs)
 

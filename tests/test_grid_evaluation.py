@@ -8,6 +8,7 @@ compared by ``repr``, which tells apart every float, ``-0.0`` from
 """
 
 import cmath
+import hashlib
 import importlib
 import math
 import random
@@ -16,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from polydiff import verify
+from polydiff import cli, hermite, verify
 from polydiff.core import NodeSet
 from polydiff.experiments import (
     GRID_POINTS,
+    _grid,
     chebyshev_points,
     equispaced_points,
     run_experiment,
@@ -50,11 +52,25 @@ def _rational_case(rng, s):
     return ns, zs, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
 
-CASES = {"float": _float_case, "complex": _complex_case, "rational": _rational_case}
+def _experiment_case(family, n, data_kind):
+    """The experiments' own nodes and 1001-point grid, which holds the end nodes -1.0 and 1.0."""
+    def case(rng, s):
+        points = chebyshev_points(n) if family == "chebyshev" else equispaced_points(n)
+        ns = NodeSet(points, [s] * (n + 1))
+        draw = iter(constant_data(ns)).__next__ if data_kind == "constant" else lambda: rng.uniform(-2, 2)
+        return ns, _grid(), draw
+    return case
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", sorted(CASES))
+# the experiments' sizes: n=55 at s = 1, 2, 3 on both families, Chebyshev n=165 at s = 1
+SIZES = {f"{family}-{n}-{data}": _experiment_case(family, n, data)
+         for family, n in (("chebyshev", 55), ("equispaced", 55), ("chebyshev", 165))
+         for data in ("constant", "random")}
+CASES = {"float": _float_case, "complex": _complex_case, "rational": _rational_case, **SIZES}
+
+
+@pytest.mark.parametrize("kind, s", [(kind, s) for s in (1, 2, 3, 4) for kind in ("complex", "float", "rational")]
+                         + [(kind, s) for kind in sorted(SIZES) for s in ((1,) if "165" in kind else (1, 2, 3))])
 def test_list_kernels_equal_the_one_point_loops(kind, s):
     rng = random.Random(f"{kind}{s}")
     ns, zs, draw = CASES[kind](rng, s)
@@ -132,6 +148,28 @@ def test_a_point_next_to_a_node_gets_its_taylor_polynomial(n, s, start):
     assert [repr(v) for z in zs for v in hermite_eval(w, data, [z])] == want
     # next to the node every value is near 1: the former finite ones 1.6e-8 off at n = 54, s = 3
     assert all(abs(float(v) - 1) < 1e-7 for v in want[1:-1])
+
+
+def test_only_the_points_that_are_not_finite_are_redone_next_to_a_node(monkeypatch):
+    ns = NodeSet(equispaced_points(54), [3] * 55)
+    w, data = gen_bary_weights(ns), constant_data(ns)
+    grid = [z for z in _grid() if z not in ns.nodes]
+    assert len(grid) == 998
+    assert not cmath.isfinite(orc.first_form_at(w, data, 1e-90))
+    zs = grid[:500] + [1e-90] + grid[500:]
+    calls, near_node = [], hermite._near_node
+
+    def counting(*args):
+        calls.append(args[2])
+        return near_node(*args)
+
+    monkeypatch.setattr(hermite, "_near_node", counting)
+    got = hermite_eval(w, data, zs)
+    assert calls == [1e-90] and got[500] == 1.0
+    assert [repr(v) for v in got[:500] + got[501:]] == \
+        [repr(v) for v in hermite_eval(w, data, grid)] == \
+        [repr(orc.first_form_at(w, data, z)) for z in grid]
+    assert calls == [1e-90]   # the grid alone redoes no point
 
 
 def test_the_taylor_polynomial_carries_every_derivative_slot():
@@ -238,6 +276,25 @@ def test_experiment_error_equals_the_one_point_loop(which, n, s, family):
     w, data = gen_bary_weights(ns), constant_data(ns)
     want = max(abs(orc.first_form_at(w, data, z) - 1.0) for z in GRID)
     assert repr(record.max_err) == repr(want)
+
+
+# sha256 of each experiment's CSV on stdout at its default sizes and confluency
+EXPERIMENT_CSVS = {
+    ("hermite-norms", "chebyshev"): "06609e673b9e00ae5d5280669face0aa6b2d40406ef412413d6142626cca9eee",
+    ("hermite-norms", "equispaced"): "5594b444abd2bae1d73f11cedb95576262600c310cb05c6101c4c216275f61b4",
+    ("hermite-error", "chebyshev"): "a144baee7c0d4940edadf945ea016306df41c55b537296a1c91f91cab7c58097",
+    ("hermite-error", "equispaced"): "1da5fc5fd822141b2208efac1cad9a76271d863607ac9fbec6ab5f215608a242",
+    ("lagrange-error", "chebyshev"): "1e0039598b9695063ea4b57c05bd4b9f46f6229c1eb7805159b3a2f0c88e40b3",
+    ("lagrange-error", "equispaced"): "994a27814fd924337912b4426baca75c5640f959e1ab36039e25b5dc2dfbbdf2",
+}
+
+
+@pytest.mark.parametrize("which, family", sorted(EXPERIMENT_CSVS))
+def test_experiment_csvs_are_pinned(which, family, capsys):
+    assert cli.main(["experiment", "--which", which, "--nodes", family]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPERIMENT_CSVS[which, family]
 
 
 def test_the_benchmark_tracer_sees_evaluation(monkeypatch):
