@@ -29,17 +29,17 @@ rationals.  At confluency 1 they are the barycentric weights
 
 ``hermite_eval`` and ``node_polynomial_value`` take any iterable of points and
 return a list, doing each point's float operations of a point-by-point loop, in
-order; ``hermite_eval`` in one pass per node that multiplies the node's factors into
-w(z) and adds its share to the pole sum (see ``_pole_sums``).  A point that hits a
-node gets its stored value, one that overflows next to a node its Taylor polynomial
-(see ``_at_points``).
+order; ``hermite_eval`` in one compiled loop over the points per run of eight nodes,
+which multiplies each node's factors into w(z) and adds its share to the pole sum
+(see ``_pole_sums`` and ``_chunk_pass``).  A point that hits a node gets its stored
+value, one that overflows next to a node its Taylor polynomial (see ``_at_points``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import mul, truediv
 from typing import NamedTuple
@@ -146,28 +146,61 @@ def gen_bary_weights(nodes) -> GenBaryWeights:
     return GenBaryWeights(nodes, tuple(rows))
 
 
+_CHUNK = 8      # nodes per compiled pass
+_PASSES = 256   # compiled passes kept, one per key
+
+
+@lru_cache(maxsize=_PASSES)
+def _chunk_pass(confs: tuple, first: bool, times_w: bool):
+    """The pass over a run of nodes whose weight rows have lengths confs, compiled once per key:
+    a plain loop that, per point and per node k in order, sets e = z - t_k, with times_w does
+    w = w * e s_k times, and adds the share c_k (1 / e) at s_k = 1, else q u after the Horner
+    steps p = p u + d_{k,j}, q = q + b_{k,j} p from u = 1 / e, p = d_{k,0} and q = c_k, where
+    c_k = b_{k,0} d_{k,0}.  It returns the lists of w and of the sum; the first run starts both
+    from its first node's values.  Statements, not one expression per point, so that a
+    confluency in the thousands compiles.  The source holds only integers and fixed names:
+    nodes, weights, data and points are arguments."""
+    lines, ks = [], range(len(confs))
+    for k, s in enumerate(confs):
+        start = first and k == 0   # w and the sum start as this node's values
+        lines.append(f"e = z - t{k}")
+        if times_w:
+            lines += ["w = e"] * start + ["w = w * e"] * (s - start)
+        p, q, share = f"d{k}_0", f"c{k}", f"c{k} * (1 / e)"
+        if s > 1:
+            lines.append("u = 1 / e")
+            for j in range(1, s):
+                lines += [f"p = {p} * u + d{k}_{j}", f"q = {q} + b{k}_{j} * p"]
+                p, q, share = "p", "q", "q * u"
+        lines.append(f"a = {share}" if start else f"a = a + {share}")
+    loop = "z in zs" if first else "z, w, a in zip(zs, ws, acc)" if times_w else "z, a in zip(zs, acc)"
+    b_names = "".join("(" + "".join(f"b{k}_{j}, " for j in range(s)) + "), " for k, s in enumerate(confs))
+    d_names = "".join(f"d{k}_{j}, " for k, s in enumerate(confs) for j in range(s))
+    source = "\n    ".join([
+        "def run(zs, ws, acc, ts, rows, ds):",
+        "".join(f"t{k}, " for k in ks) + "= ts", b_names + "= rows", d_names + "= ds",
+        *(f"c{k} = b{k}_0 * d{k}_0" for k in ks),
+        "wo, ao = [], []", "push_w, push_a = wo.append, ao.append", f"for {loop}:",
+        *(f"    {line}" for line in lines), "    push_a(a)", *["    push_w(w)"] * times_w,
+        "return wo, ao"])
+    namespace = {}
+    exec(compile(source, f"<hermite pass {confs}>", "exec"), namespace)
+    return namespace["run"]
+
+
 def _pole_sums(w: GenBaryWeights, data, zs: list, times_w: bool = False) -> list:
     """sum_{i, k <= j} b_{i,j} d_{i,k} / (z - t_i)^(j+1-k) at each z off the nodes in O(dim),
     times w(z) with times_w: per node, Horner in u = 1/(z - t_i), P_0 = d_{i,0} and
     P_j = u P_{j-1} + d_{i,j}, gives the share u sum_j b_{i,j} P_j, added left to right in the
-    pass that multiplies in the node's factors of w; both start as the first node's list."""
+    pass that multiplies in the node's factors of w.  One compiled pass (``_chunk_pass``) runs
+    each point through a run of ``_CHUNK`` nodes and hands its two lists to the next run."""
+    nodes, offsets, rows = w.nodes.nodes, w.nodes.offsets, w.weights
     ws = out = None
-    for t, row, o in zip(w.nodes.nodes, w.weights, w.nodes.offsets):
-        for _ in range(len(row) if times_w else 0):
-            ws = [z - t for z in zs] if ws is None else [p * (z - t) for p, z in zip(ws, zs)]
-        c, b, d = row[0] * data[o], row[-1], data[o + len(row) - 1]
-        if len(row) == 1:   # the share c u, added in the same pass
-            out = [c * (1 / (z - t)) for z in zs] if out is None else \
-                [a + c * (1 / (z - t)) for a, z in zip(out, zs)]
-            continue
-        us = [1 / (z - t) for z in zs]
-        ps, local = [data[o]] * len(zs), [c] * len(zs)
-        for bj, dj in zip(row[1:-1], data[o + 1:o + len(row) - 1]):
-            ps = [p * u + dj for p, u in zip(ps, us)]
-            local = [acc + bj * p for acc, p in zip(local, ps)]
-        # the last Horner step, the share and the add in one pass
-        out = [(l + b * (p * u + d)) * u for l, p, u in zip(local, ps, us)] if out is None else \
-            [a + (l + b * (p * u + d)) * u for a, l, p, u in zip(out, local, ps, us)]
+    for i in range(0, len(nodes), _CHUNK):
+        run = rows[i:i + _CHUNK]
+        confs = tuple(map(len, run))
+        ws, out = _chunk_pass(confs, i == 0, times_w)(
+            zs, ws, out, nodes[i:i + _CHUNK], run, data[offsets[i]:offsets[i] + sum(confs)])
     return list(map(mul, ws, out)) if times_w else out
 
 

@@ -26,7 +26,13 @@ from polydiff.experiments import (
     equispaced_points,
     run_experiment,
 )
-from polydiff.hermite import constant_data, gen_bary_weights, hermite_eval, node_polynomial_value
+from polydiff.hermite import (
+    GenBaryWeights,
+    constant_data,
+    gen_bary_weights,
+    hermite_eval,
+    node_polynomial_value,
+)
 from polydiff.lagrange import eval_first_form, eval_second_form
 
 import _oracles as orc
@@ -52,6 +58,26 @@ def _rational_case(rng, s):
     return ns, zs, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
 
+def _mixed_case(kind):
+    """19 nodes whose confluencies cycle through 1, 3, 2, 4 from the s-th entry on: two full
+    compiled passes of eight nodes and a short one of three, each under its own key."""
+    def case(rng, s):
+        confs = [(1, 3, 2, 4)[(k + s - 1) % 4] for k in range(19)]
+        if kind == "float":
+            ns = NodeSet([-1 + k / 9 for k in range(19)], confs)
+            zs = [rng.uniform(-1.1, 1.1) for _ in range(20)] + [-0.0, 1.0, Fraction(-1)]
+            return ns, zs, lambda: rng.uniform(-2, 2)
+        if kind == "complex":
+            ns = NodeSet([(1 + k % 3 / 4) * cmath.exp(2j * cmath.pi * k / 19) for k in range(19)], confs)
+            zs = [complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)) for _ in range(20)]
+            return ns, zs + [ns.nodes[18], ns.nodes[7]], lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        ns = NodeSet([Fraction(k - 9, 4) for k in range(19)], confs)
+        zs = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(12)]
+        zs = [z for z in zs if z not in ns.nodes] + [2, Fraction(-9, 4), 0.1]
+        return ns, zs, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return case
+
+
 def _experiment_case(family, n, data_kind):
     """The experiments' own nodes and 1001-point grid, which holds the end nodes -1.0 and 1.0."""
     def case(rng, s):
@@ -66,10 +92,12 @@ def _experiment_case(family, n, data_kind):
 SIZES = {f"{family}-{n}-{data}": _experiment_case(family, n, data)
          for family, n in (("chebyshev", 55), ("equispaced", 55), ("chebyshev", 165))
          for data in ("constant", "random")}
-CASES = {"float": _float_case, "complex": _complex_case, "rational": _rational_case, **SIZES}
+MIXED = {f"mixed-{kind}": _mixed_case(kind) for kind in ("complex", "float", "rational")}
+CASES = {"float": _float_case, "complex": _complex_case, "rational": _rational_case, **MIXED, **SIZES}
 
 
 @pytest.mark.parametrize("kind, s", [(kind, s) for s in (1, 2, 3, 4) for kind in ("complex", "float", "rational")]
+                         + [(kind, s) for kind in sorted(MIXED) for s in (1, 2, 3, 4)]
                          + [(kind, s) for kind in sorted(SIZES) for s in ((1,) if "165" in kind else (1, 2, 3))])
 def test_list_kernels_equal_the_one_point_loops(kind, s):
     rng = random.Random(f"{kind}{s}")
@@ -86,7 +114,7 @@ def test_list_kernels_equal_the_one_point_loops(kind, s):
         [repr(orc.node_polynomial_at(ns, z)) for z in off]
     assert [repr(v) for v in node_polynomial_value(ns, (z for z in off))] == \
         [repr(orc.node_polynomial_at(ns, z)) for z in off]
-    if s == 1:
+    if ns.is_simple:
         assert [repr(v) for v in eval_first_form(w, iter(data), (z for z in zs))] == want
         want = [repr(orc.second_form_at(w, data, z)) for z in zs]
         assert [repr(v) for v in eval_second_form(w, iter(data), (z for z in zs))] == want
@@ -101,6 +129,31 @@ def test_node_hits_return_the_stored_value_of_that_node():
         [3.0, 4.0, 1.0, orc.first_form_at(w, data, 0.25)]
     simple = gen_bary_weights(NodeSet([-1.0, 0.0, 0.5]))
     assert eval_second_form(simple, [7.0, 8.0, 9.0], [-0.0, Fraction(1, 2)]) == [8.0, 9.0]
+
+
+def test_a_confluency_in_the_thousands_compiles():
+    # weights of size about 1, set by hand: the weight series alone takes seconds at s = 3000.
+    # One expression per point nests too deep for the compiler here; the statements do not.
+    rng = random.Random(3000)
+    ns = NodeSet([0.0, 1.0], [3000, 1])
+    w = GenBaryWeights(ns, (tuple(rng.uniform(0.5, 2) for _ in range(3000)), (1.0,)))
+    data = [rng.uniform(-1, 1) for _ in range(ns.dimension)]
+    zs = [-1.0, 1j]   # |z - 0.0| = 1, so w(z) and the Horner steps stay in range
+    want = [repr(orc.first_form_at(w, data, z)) for z in zs]
+    assert all(cmath.isfinite(orc.first_form_at(w, data, z)) for z in zs)
+    assert [repr(v) for v in hermite_eval(w, data, zs)] == want
+
+
+def test_the_compiled_passes_are_keyed_by_the_confluencies_alone():
+    confs = [2, 1, 3, 1, 1, 2, 1, 1, 3, 1, 2]   # a run of eight nodes and one of three
+    first, second = NodeSet([k / 11 for k in range(11)], confs), NodeSet([k - 5.5 for k in range(11)], confs)
+    hermite_eval(gen_bary_weights(first), constant_data(first), [0.55, 2.0])
+    before = hermite._chunk_pass.cache_info()
+    w, data = gen_bary_weights(second), constant_data(second)
+    assert [repr(v) for v in hermite_eval(w, data, [0.3, -9.0])] == \
+        [repr(orc.first_form_at(w, data, z)) for z in (0.3, -9.0)]
+    after = hermite._chunk_pass.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 # (nodes, a point of another type whose difference from nodes[1] is 0.0, an off-node point)
