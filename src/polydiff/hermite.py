@@ -33,6 +33,10 @@ order; ``hermite_eval`` in one compiled loop over the points per run of eight no
 which multiplies each node's factors into w(z) and adds its share to the pole sum
 (see ``_pole_sums`` and ``_chunk_pass``).  A point that hits a node gets its stored
 value, one that overflows next to a node its Taylor polynomial (see ``_at_points``).
+Construction runs compiled loops too, each float with the operations of an
+entry-by-entry loop, in order: one product loop per node for the g_i
+(``_series_pass``) and one pass over the rows of D per run of eight column
+nodes (``_row_pass``).
 """
 
 from __future__ import annotations
@@ -81,28 +85,19 @@ def _local_series(nodes: NodeSet, extra: int):
     """Taylor coefficients of every g_i about its own node t_i: (L, ts, coefficients).
 
     Entry i lists the coefficients of u^0 .. u^(s_i - 1 + extra) with
-    u = z - t_i.  Each linear factor (u + t_i - t_m) is multiplied into
-    every node's list at once, g_0 <- g_0 c and g_t <- g_{t-1} + c g_t,
-    and node m's own entries are then restored: each coefficient sees a
-    node-by-node product's operations in order.  Every node carries
-    max(s) + extra orders, in node order, and keeps its first s_i + extra.
-    Rational nodes run over the integers ts = T = L t instead, giving
+    u = z - t_i.  One compiled loop per node (``_series_pass``) multiplies
+    in its linear factors (u + t_i - t_m), node m's s_m times, in node
+    order with node i skipped: each coefficient sees the operations of a
+    node-by-node product, in order.  Rational nodes run over the integers
+    ts = T = L t instead, giving
     h_i(v) = prod_{m != i} (T_i - T_m + v)^(s_m) = L^(dim - s_i) g_i(v / L).
     """
     exact, confs = nodes.field is Field.RATIONAL, nodes.confluencies
     L, ts = _integer_scaled(nodes.nodes) if exact else (1, nodes.nodes)
     one, zero = (1, 0) if exact else (one_of(nodes.field), zero_of(nodes.field))
-    # g[t][i]: coefficient t of node i's product so far
-    g = [[one] * len(ts)] + [[zero] * len(ts) for _ in range(1, max(confs) + extra)]
-    for m, (tm, sm) in enumerate(zip(ts, confs)):
-        cs = [ti - tm for ti in ts]
-        for _ in range(sm):
-            new = [list(map(mul, g[0], cs))]
-            new += [[p + c * q for p, c, q in zip(prev, cs, cur)] for prev, cur in zip(g, g[1:])]
-            for row, old in zip(new, g):
-                row[m] = old[m]
-            g = new
-    return L, ts, [[row[i] for row in g[:s + extra]] for i, s in enumerate(confs)]
+    flat = [t for t, s in zip(ts, confs) for _ in range(s)]
+    return L, ts, [_series_pass(s + extra)(ti, flat[:o] + flat[o + s:], one, zero)
+                   for ti, s, o in zip(ts, confs, nodes.offsets)]
 
 
 def _integer_reciprocal(h, si: int) -> list:
@@ -150,6 +145,24 @@ _CHUNK = 8      # nodes per compiled pass
 _PASSES = 256   # compiled passes kept, one per key
 
 
+def _compiled(source: str, name: str):
+    """The function ``run`` that source defines, compiled under name; ``mul`` is in its globals."""
+    namespace = {"mul": mul}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["run"]
+
+
+@lru_cache(maxsize=_PASSES)
+def _series_pass(length: int):
+    """The product loop of one node's Taylor coefficients a_0 .. a_(length-1), compiled once per
+    length: from a_0 = one and zeros, per factor c = t_i - t_m in turn, a_t = a_(t-1) + c a_t from
+    the top down, then a_0 = a_0 c.  The coefficients are locals until the loop ends."""
+    return _compiled("\n    ".join([
+        "def run(ti, tms, one, zero):", "a0 = one", *(f"a{t} = zero" for t in range(1, length)),
+        "for tm in tms:", "    c = ti - tm", *(f"    a{t} = a{t - 1} + c * a{t}" for t in range(length - 1, 0, -1)),
+        "    a0 = a0 * c", "return [" + ", ".join(f"a{t}" for t in range(length)) + "]"]), f"<hermite series {length}>")
+
+
 @lru_cache(maxsize=_PASSES)
 def _chunk_pass(confs: tuple, first: bool, times_w: bool):
     """The pass over a run of nodes whose weight rows have lengths confs, compiled once per key:
@@ -183,9 +196,37 @@ def _chunk_pass(confs: tuple, first: bool, times_w: bool):
         "wo, ao = [], []", "push_w, push_a = wo.append, ao.append", f"for {loop}:",
         *(f"    {line}" for line in lines), "    push_a(a)", *["    push_w(w)"] * times_w,
         "return wo, ao"])
-    namespace = {}
-    exec(compile(source, f"<hermite pass {confs}>", "exec"), namespace)
-    return namespace["run"]
+    return _compiled(source, f"<hermite pass {confs}>")
+
+
+@lru_cache(maxsize=_PASSES)
+def _row_pass(confs: tuple):
+    """The pass that extends every nontrivial row of D by a run of column nodes whose weight rows
+    have lengths confs, compiled once per key: per row i and node l in order, c = (t_i - t_l) or
+    one, the powers p = c, p c, ... of it, q_k = g_i(t_i) / p and, per m, s_i times the sum from 0
+    of b_{l,m+k} q_k over k in order; one += per row.  The row's own node gets c = one, and its
+    block is overwritten afterwards.  A sum of three or more terms calls ``sum``, which rounds
+    unlike chained + from Python 3.12 on; a node of confluency above ``_CHUNK`` runs loops."""
+    lines, entries, names = [], [], []
+    for l, s in enumerate(confs):
+        lines.append(f"c = ti - t{l} or one")
+        if s <= _CHUNK:
+            names.append("(" + "".join(f"b{l}_{j}, " for j in range(s)) + ")")
+            lines.append(f"q{l}_0 = g / c")
+            for k in range(1, s):
+                lines += [f"p = {'p' if k > 1 else 'c'} * c", f"q{l}_{k} = g / p"]
+            for m in range(s):
+                terms = [f"b{l}_{m + k} * q{l}_{k}" for k in range(s - m)]
+                entries.append(f"si * sum(({', '.join(terms)}))" if m < s - 2 else f"si * (0 + {' + '.join(terms)})")
+        else:
+            names.append(f"b{l}")
+            lines += ["p = c", f"q{l} = [g / p]", f"for _ in range({s - 1}):", "    p = p * c",
+                      f"    q{l}.append(g / p)", f"e{l} = [si * sum(map(mul, b{l}[m:], q{l})) for m in range({s})]"]
+            entries.append(f"*e{l}")
+    return _compiled("\n    ".join([
+        "def run(rows, ts, gs, sis, tls, bls, one):", "".join(f"t{l}, " for l in range(len(confs))) + "= tls",
+        "".join(f"{name}, " for name in names) + "= bls", "for row, ti, g, si in zip(rows, ts, gs, sis):",
+        *(f"    {line}" for line in lines), "    row += (" + ", ".join(entries) + ",)"]), f"<hermite rows {confs}>")
 
 
 def _pole_sums(w: GenBaryWeights, data, zs: list, times_w: bool = False) -> list:
@@ -311,11 +352,12 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
     against the node factor inside w.  At confluency 1 the entries are
     b_l g_i(t_i) / (t_i - t_l) off the diagonal and g_i'(t_i) / g_i(t_i)
     on it.  Construction is O(dim^2) once the g_i are known.  Floating
-    rows are built one column block l at a time over all rows at once and
-    then transposed, each entry with the operations, in order, and the
-    ``sum`` of an entry-by-entry loop; the powers of t_i - t_l start at
-    the difference itself.  Rational nodes form each entry from integers
-    as one Fraction, see ``_exact_row``.
+    rows are built row by row, one compiled pass per run of column nodes
+    (``_row_pass``), each entry with the operations, in order, of an
+    entry-by-entry loop; the powers of t_i - t_l start at the difference
+    itself.  Each node's own block is then written over with its ``sum``s.
+    Rational nodes form each entry from integers as one Fraction, see
+    ``_exact_row``.
     """
     nodes = as_node_set(nodes)
     confs, one, zero = nodes.confluencies, one_of(nodes.field), zero_of(nodes.field)
@@ -324,23 +366,11 @@ def diff_matrix_hermite(nodes) -> DenseMatrix:
         series = [(h, _integer_reciprocal(h, s)) for h, s in zip(local, confs)]
         last = [_exact_row(L, T, series, confs, i) for i in range(len(confs))]
     else:
-        g0s, cols = [g[0] for g in local], []
-        for l, (tl, wl) in enumerate(zip(T, _weights_from_series(nodes, local).weights)):
-            # powers of c = t_i - t_l by repeated multiplication; c = 1 stands in at l
-            cs = [ti - tl for ti in T]
-            cs[l] = one
-            ps = cs
-            qs = [list(map(truediv, g0s, ps))]
-            for _ in range(1, len(wl)):
-                ps = list(map(mul, ps, cs))
-                qs.append(list(map(truediv, g0s, ps)))
-            for k, qk in enumerate(qs):
-                qk[l] = local[l][k + 1]
-            for m in range(len(wl)):
-                # entry i is s_i sum_k b_{l,m+k} q_k[i]: ``sum`` in k order keeps its float
-                terms = [map(mul, repeat(b), qk) for b, qk in zip(wl[m:], qs)]
-                cols.append(list(map(mul, confs, map(sum, zip(*terms)))))
-        last = list(zip(*cols))
+        g0s, weights, last = [g[0] for g in local], _weights_from_series(nodes, local).weights, [[] for _ in T]
+        for l in range(0, len(T), _CHUNK):
+            _row_pass(confs[l:l + _CHUNK])(last, T, g0s, confs, T[l:l + _CHUNK], weights[l:l + _CHUNK], one)
+        for row, si, oi, bi, gi in zip(last, confs, nodes.offsets, weights, local):
+            row[oi:oi + si] = [si * sum(map(mul, bi[m:], gi[1:])) for m in range(si)]
     rows, dim = [], nodes.dimension
     for si, oi, row in zip(confs, nodes.offsets, last):
         rows += [[zero] * (oi + j) + [j * one] + [zero] * (dim - oi - j - 1) for j in range(1, si)]

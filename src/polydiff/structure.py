@@ -167,10 +167,11 @@ def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
 
 
 def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-10) -> bool:
-    """Check D D+ D = D and D+ D D+ = D+."""
+    """Check D D+ D = D and D+ D D+ = D+ as X D = D and D+ X = D+, X = D D+ formed once."""
     if (D.rows, D.cols) != (Dp.rows, Dp.cols):
         return False
-    return approx_equal(D * Dp * D, D, tol) and approx_equal(Dp * D * Dp, Dp, tol)
+    X = D * Dp
+    return approx_equal(X * D, D, tol) and approx_equal(Dp * X, Dp, tol)
 
 
 def _reduced_product(X, Y) -> list:

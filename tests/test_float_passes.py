@@ -4,8 +4,10 @@
 at a time: the Taylor coefficients of g_i one coefficient's history at a
 time, the nontrivial Hermite rows entry by entry and the Q recurrence of
 degree-graded bases entry by entry.  The package now runs the same
-operations node-major, column block by column block and row by row; every
-entry must come out with the same type and repr, signed zeros included.
+operations in compiled passes: one product loop per node, and the
+nontrivial Hermite rows one run of eight column nodes at a time, and the
+degree-graded rows row by row; every entry must come out with the same
+type and repr, signed zeros included.
 """
 
 import random
@@ -78,13 +80,36 @@ def _experiment_node_sets():
             yield NodeSet(points(n), [3] * (n + 1))
 
 
-NODE_SETS = list(_seeded_node_sets(random.Random(13))) + list(_experiment_node_sets())
+def _long_node_sets(rng):
+    """Real and complex sets of 9 to 20 nodes, past one run of eight column nodes: mixed
+    confluencies 1-4, and every third set simple for the Lagrange diagonal."""
+    for k in range(24):
+        count, ts = rng.randint(9, 20), []
+        while len(ts) < count:
+            t = rng.uniform(-2, 2) if k % 2 else complex(rng.choice([0.0, -0.0, rng.uniform(-2, 2)]),
+                                                         rng.choice([0.0, -0.0, rng.uniform(-2, 2)]))
+            ts = _distinct(ts + [t])
+        yield NodeSet(ts, [1] * count if k % 3 == 0 else [rng.randint(1, 4) for _ in ts])
+
+
+# A node of confluency past eight forms its entries in loops, not one expression each.
+# At [0, 1] every entry of the loops is a sum of integers; the other two sets round.
+HIGH_CONFLUENCY_SETS = (NodeSet([0.0, 1.0], [300, 1]), NodeSet([complex(-0.0, 0.0), complex(1.0, -0.0)], [300, 1]),
+                        NodeSet([0.3, -1.1, 0.45], [12, 2, 9]),
+                        NodeSet([0.5j, complex(-0.7, -0.0), 1.25 + 0.5j], [10, 3, 9]))
+
+NODE_SETS = (list(_seeded_node_sets(random.Random(13))) + list(_long_node_sets(random.Random(19)))
+             + list(HIGH_CONFLUENCY_SETS) + list(_experiment_node_sets()))
 
 
 def test_the_node_sets_cover_what_the_passes_must_keep():
-    assert {s for ns in NODE_SETS for s in ns.confluencies} == {1, 2, 3, 4}
+    assert {s for ns in NODE_SETS for s in ns.confluencies} == {1, 2, 3, 4, 9, 10, 12, 300}
     assert {ns.field.value for ns in NODE_SETS} == {"real", "complex"}
     assert max(len(ns) for ns in NODE_SETS) == 166
+    long_mixed = [ns for ns in NODE_SETS if 8 < len(ns) <= 20 and len(set(ns.confluencies)) > 1]
+    assert {ns.field.value for ns in long_mixed} == {"real", "complex"}
+    long_simple = [ns for ns in NODE_SETS if 8 < len(ns) <= 20 and ns.is_simple]
+    assert {ns.field.value for ns in long_simple} == {"real", "complex"}
 
 
 @pytest.mark.parametrize("ns", NODE_SETS, ids=_node_set_id)

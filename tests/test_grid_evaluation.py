@@ -147,13 +147,19 @@ def test_a_confluency_in_the_thousands_compiles():
 def test_the_compiled_passes_are_keyed_by_the_confluencies_alone():
     confs = [2, 1, 3, 1, 1, 2, 1, 1, 3, 1, 2]   # a run of eight nodes and one of three
     first, second = NodeSet([k / 11 for k in range(11)], confs), NodeSet([k - 5.5 for k in range(11)], confs)
+    hermite.diff_matrix_hermite(first)
     hermite_eval(gen_bary_weights(first), constant_data(first), [0.55, 2.0])
-    before = hermite._chunk_pass.cache_info()
+    passes = (hermite._chunk_pass, hermite._series_pass, hermite._row_pass)
+    before = [f.cache_info() for f in passes]
+    D = hermite.diff_matrix_hermite(second)
     w, data = gen_bary_weights(second), constant_data(second)
     assert [repr(v) for v in hermite_eval(w, data, [0.3, -9.0])] == \
         [repr(orc.first_form_at(w, data, z)) for z in (0.3, -9.0)]
-    after = hermite._chunk_pass.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert [repr(x) for x in D.entries] == [repr(x) for row in orc.diff_matrix_hermite_by_entries(second)
+                                            for x in row]
+    after = [f.cache_info() for f in passes]
+    # two runs to evaluate, one series per node for D and one for w, two runs of rows
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [(2, 0), (22, 0), (2, 0)]
 
 
 # (nodes, a point of another type whose difference from nodes[1] is 0.0, an off-node point)

@@ -444,6 +444,26 @@ def test_pseudo_inverse_lagrange_frozen():
     assert Dp == DenseMatrix.from_rows([[Fraction(v, 720) for v in r] for r in want])
 
 
+def _plus(A, B, c=1):
+    """A + c B, entry by entry."""
+    return DenseMatrix(A.rows, A.cols, [a + c * b for a, b in zip(A.entries, B.entries)])
+
+
+def test_each_generalized_inverse_condition_fails_on_its_own():
+    ns = NodeSet([Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)])
+    D = diff_matrix_lagrange(ns)
+    Dp = pseudo_inverse(D, build_V(monomial_images(LagrangeBasis(ns))))
+    Z, I = DenseMatrix.zeros(D.rows, D.cols), DenseMatrix.identity(D.rows)
+    # G = D+ + (I - D+ D) U (I - D D+) keeps D G D = D for any U.  D+ + I - D+ D keeps
+    # D's rank here and so meets both conditions; U = D^3 raises the rank of G.
+    G = _plus(Dp, _plus(I, Dp * D, -1))
+    assert D * G * D == D and G * D * G == G
+    G = _plus(Dp, _plus(I, Dp * D, -1) * (D * D * D) * _plus(I, D * Dp, -1))
+    assert D * Dp * D == D and Dp * D * Dp == Dp and verify_generalized_inverse(D, Dp)
+    assert D * Z * D != D and Z * D * Z == Z and not verify_generalized_inverse(D, Z)
+    assert D * G * D == D and G * D * G != G and not verify_generalized_inverse(D, G)
+
+
 def test_pseudo_inverse_complex_lagrange():
     ns = NodeSet([1, 1j, -1, -1j])
     D = diff_matrix_lagrange(ns)
