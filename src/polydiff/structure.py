@@ -185,9 +185,12 @@ def _reduced_product(X, Y) -> list:
 def nilpotency_index(D: DenseMatrix) -> int:
     """Smallest k with D^k = 0, over integers; requires the exact rational field.
 
-    Squares A = L D, L the lcm of its row denominators, until a power
-    vanishes, then builds the largest nonzero power A^e from the squares,
-    largest first: O(log n) products, each divided by its content, which keeps zero zero.
+    Follows v = e_(n-1), v <- A v on A = L D, L the lcm of its row denominators,
+    each v divided by its content, which keeps zero zero.  A^n v = 0 != A^(n-1) v
+    proves index n: v, A v, ..., A^(n-1) v are then independent (apply A^(n-1-j) to
+    a relation with lowest term j), a basis A^n kills; A^n v != 0 proves A is not
+    nilpotent.  A chain that dies early falls back to squaring A until a power vanishes,
+    then building the largest nonzero power from the squares: O(log n) products.
     """
     if D.rows != D.cols:
         raise ValueError("nilpotency is a property of square matrices")
@@ -195,6 +198,15 @@ def nilpotency_index(D: DenseMatrix) -> int:
         raise ValueError("nilpotency index needs the exact rational field")
     n, L = D.rows, math.lcm(*(d for d, _ in D._int_rows()))
     squares = [[[x * (L // d) for x in r] for d, r in D._int_rows()]]   # A^(2^j), each up to a factor
+    v, k = [int(i == n - 1) for i in range(n)], 0   # A^k e_(n-1), up to a factor: cyclic for every basis here
+    while k < n and any(v):
+        v = [sum(map(mul, row, v)) for row in squares[0]]
+        c, k = math.gcd(*v) or 1, k + 1
+        v = [x // c for x in v]
+    if any(v):
+        raise ArithmeticError("matrix is not nilpotent within its dimension")
+    if k == n:
+        return n
     while any(map(any, squares[-1])):
         if 2 ** (len(squares) - 1) >= n:
             raise ArithmeticError("matrix is not nilpotent within its dimension")
@@ -204,7 +216,7 @@ def nilpotency_index(D: DenseMatrix) -> int:
         Y = squares[j] if X is None else _reduced_product(X, squares[j])
         if any(map(any, Y)):
             X, e = Y, e + 2 ** j
-    return e + 1 if n else 0
+    return e + 1
 
 
 def conjugation_oracle(basis) -> DenseMatrix:

@@ -31,6 +31,7 @@ from polydiff.degree_graded import (
     monomial_basis,
     newton_basis,
 )
+from polydiff import structure
 from polydiff.families import FAMILIES
 from polydiff.hermite import diff_matrix_hermite
 from polydiff.lagrange import diff_matrix_lagrange
@@ -480,13 +481,64 @@ def test_pseudo_inverse_complex_lagrange():
 
 # ---------------------------------------------------------------- nilpotency
 
-def test_nilpotency_index_input_checks():
+def _refuse_squaring(monkeypatch):
+    """Make the squaring fallback raise, so that only the Krylov chain can answer."""
+    def refuse(X, Y):
+        raise AssertionError("the chain from e_(n-1) should have settled the index")
+    monkeypatch.setattr(structure, "_reduced_product", refuse)
+
+
+def test_nilpotency_index_input_checks(monkeypatch):
     with pytest.raises(ValueError):
         nilpotency_index(DenseMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
         nilpotency_index(DenseMatrix.zeros(2, 2, Field.REAL))
-    with pytest.raises(ArithmeticError):
-        nilpotency_index(DenseMatrix.identity(3))
+    not_nilpotent = "matrix is not nilpotent within its dimension"
+    # the squaring loop raises: e_1 is killed at once, but diag(1, 0) is idempotent
+    with pytest.raises(ArithmeticError, match=not_nilpotent):
+        nilpotency_index(DenseMatrix.from_rows([[1, 0], [0, 0]]))
+    _refuse_squaring(monkeypatch)
+    # the chain raises on its own: A^n e_(n-1) != 0
+    for M in (DenseMatrix.identity(3), DenseMatrix.from_rows([[Fraction(-2, 7)]]),
+              DenseMatrix.from_rows([[0, 1], [1, 0]]), DenseMatrix.from_rows([[0, 0], [5, 1]])):
+        with pytest.raises(ArithmeticError, match=not_nilpotent):
+            nilpotency_index(M)
+    # n = 0 and n = 1 are settled by the chain as well
+    assert nilpotency_index(DenseMatrix(0, 0, ())) == 0
+    assert nilpotency_index(DenseMatrix.zeros(1, 1)) == 1
+
+
+def test_nilpotency_index_of_every_family_comes_from_the_chain(monkeypatch):
+    """The last basis element has full degree, so e_(n-1) is cyclic and no square is formed."""
+    matrices = [(FAMILIES[name].diff_matrix(_rational_instance(name, dim, random.Random(dim))), dim)
+                for name in FAMILIES for dim in range(1, 13)]
+    matrices += [(diff_matrix_bernstein(30), 31),
+                 (diff_matrix_lagrange(NodeSet([Fraction(k - 20, 20) for k in range(41)])), 41)]
+    _refuse_squaring(monkeypatch)
+    for D, dim in matrices:
+        assert nilpotency_index(D) == dim
+
+
+def test_nilpotency_index_falls_back_when_the_chain_dies_early(monkeypatch):
+    rng = random.Random(24)
+    cases = []
+    for n in range(2, 13):
+        # J^T, ones below the diagonal: A e_(n-1) = 0 at once, yet the index is n
+        cases.append([[int(i == j + 1) for j in range(n)] for i in range(n)])
+        # J with its basis permuted so that e_(n-1) sits at place m < n - 1 of the
+        # cycle: the chain from it dies after m + 1 products
+        sigma = list(range(n))
+        while sigma[-1] == n - 1:
+            rng.shuffle(sigma)
+        cases.append([[int(sigma.index(j) == sigma.index(i) + 1) for j in range(n)]
+                      for i in range(n)])
+    calls, product = [], structure._reduced_product   # counts the squaring loop's products
+    monkeypatch.setattr(structure, "_reduced_product", lambda X, Y: calls.append(1) or product(X, Y))
+    for rows in cases:
+        before = len(calls)
+        assert nilpotency_index(DenseMatrix.from_rows(rows)) == len(rows)
+        assert orc.nilpotency_index_by_powers(rows) == len(rows)
+        assert len(calls) > before, rows
 
 
 def test_nilpotency_index_small_cases():
@@ -529,7 +581,7 @@ def _plain_product(A, B):
 
 def test_nilpotency_index_on_seeded_nilpotent_matrices():
     rng = random.Random(13)
-    for n in range(1, 10):
+    for n in range(1, 15):
         for index in range(1, n + 1):
             rows = _seeded_nilpotent(rng, n, index)
             assert nilpotency_index(DenseMatrix.from_rows(rows)) == index
