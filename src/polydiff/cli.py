@@ -20,6 +20,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -72,14 +73,16 @@ def parse_scalar(s: str, field: Field):
         raise UsageError(f"cannot parse {shown!r} as a {field.value} scalar{why}") from exc
 
 
+# Python refuses to turn integers past its digit limit into text
+_TOO_LONG = "exact result too long to print: a numerator or denominator has more than {} digits"
+
+
 def _exact_text(x) -> str:
     try:
         # an exact entry is already a Fraction; only plain integers need one
         return str(x if isinstance(x, Fraction) else Fraction(x))
     except ValueError as exc:
-        # Python refuses to turn integers past its digit limit into text
-        raise ValueError(f"exact result too long to print: a numerator or denominator "
-                         f"has more than {sys.get_int_max_str_digits()} digits") from exc
+        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from exc
 
 
 def _complex_text(x: complex) -> str:
@@ -128,18 +131,32 @@ def parse_int_list(spec: str) -> list[int]:
 
 # ------------------------------------------------------------ output
 
+def _row_texts(M: DenseMatrix):
+    """The texts of each row in turn.  A matrix holding no entries yet prints its integer rows (den, nums),
+    each entry over its gcd with den as ``str(Fraction)`` prints it, with no Fraction formed."""
+    if M._entries is not None:
+        fmt = _FORMATTERS[M.field]
+        yield from (list(map(fmt, M.row(i))) for i in range(M.rows))
+        return
+    try:
+        for den, nums in M._ints:
+            yield (list(map(str, nums)) if den == 1 else
+                   [str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"
+                    for x in nums])
+    except ValueError as exc:
+        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from exc
+
+
 def matrix_to_csv(M: DenseMatrix) -> str:
-    fmt = _FORMATTERS[M.field]
-    lines = [",".join(map(fmt, M.row(i))) for i in range(M.rows)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(",".join, _row_texts(M))) + "\n"
 
 
 def matrix_to_json(M: DenseMatrix, basis_name: str) -> str:
     """The text of ``json.dumps(record, indent=2)``, joined from one encoded row at a time:
     the row's separator quotes each text on its own line, where indent=2 places it."""
-    fmt, encode = _FORMATTERS[M.field], json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    rows = ",\n    ".join(f"[\n      {encode(list(map(fmt, M.row(i))))[1:-1]}\n    ]"
-                          if M.cols else "[]" for i in range(M.rows))
+    encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    rows = ",\n    ".join(f"[\n      {encode(texts)[1:-1]}\n    ]" if M.cols else "[]"
+                          for texts in _row_texts(M))
     entries = f"[\n    {rows}\n  ]" if M.rows else "[]"
     return (f'{{\n  "basis": {json.dumps(basis_name)},\n  "dimension": {M.rows},\n'
             f'  "field": {json.dumps(M.field.value)},\n  "entries": {entries}\n}}\n')
@@ -205,7 +222,7 @@ def cmd_matrix(args) -> int:
     # read before promotion: exact companions promoted to floats do not warn
     inexact_pinv = args.pinv and M.field is not Field.RATIONAL
     M = promote_matrix(M, field)
-    if not all_finite(M.field, M.entries):
+    if M.field is not Field.RATIONAL and not all_finite(M.field, M.entries):
         raise ArithmeticError("the floating-point result is not finite")
     if inexact_pinv:
         print("polydiff: warning: pseudo-inverse computed in floating point; "
@@ -221,9 +238,8 @@ def cmd_weights(args) -> int:
     field = Field(args.field)
     ns = _parse_node_set(args, field)
     w = hermite.gen_bary_weights(ns)
+    # gen_bary_weights refuses a weight that is not finite
     rows = [(i, j, b) for i, wi in enumerate(w.weights) for j, b in enumerate(wi)]
-    if not all_finite(ns.field, [b for _, _, b in rows]):
-        raise ArithmeticError("the floating-point result is not finite")
     if args.fmt == "json":
         obj = {
             "nodes": [format_scalar(t) for t in ns.nodes],
@@ -263,6 +279,11 @@ def cmd_experiment(args) -> int:
             raise UsageError("confluency must be at least 1")
     sizes = parse_int_list(args.n) if args.n is not None else None
     records = experiments.run_experiment(args.which, args.nodes, confluency, sizes)
+    for r in records:
+        # the norms and the maximum keep inf and nan, so a record's own fields show every value
+        bad = [q for q in ("norm_D", "norm_Z", "max_err") if not math.isfinite(getattr(r, q) or 0.0)]
+        if bad:
+            raise ArithmeticError(f"at n={r.n}: {bad[0]} is not finite")
     _emit(experiments.records_to_csv(records), args.out)
     return 0
 

@@ -136,9 +136,10 @@ class DenseMatrix:
     row has den 1 and equal matrices have equal rows.  The exact kernels
     (products, ``mat_apply``, ``mat_inf_norm``, ``==``, ``approx_equal`` and
     ``structure.py``) read and build only that form.  A matrix built from
-    entries gets its rows on the first such read; one built by a kernel
-    forms one ``Fraction`` per entry on the first read of ``entries``,
-    indexing, ``row``, ``column``, hashing or output.  Both forms are cached.
+    entries gets its rows on the first such read; one built by a kernel forms
+    one ``Fraction`` per entry on the first read of ``entries``, indexing,
+    ``row``, ``column`` or hashing, and none for output or promotion.  Both
+    forms are cached.
     """
 
     __slots__ = ("rows", "cols", "field", "_entries", "_ints")
@@ -410,14 +411,17 @@ def mat_inf_norm(M: DenseMatrix):
     if M.field is Field.RATIONAL:
         return max((Fraction(sum(map(abs, nums)), den) for den, nums in M._int_rows()),
                    default=Fraction(0))
-    return max((sum(map(abs, M.row(i)), 0.0) for i in range(M.rows)), default=0.0)
+    return float(vec_inf_norm([sum(map(abs, M.row(i)), 0.0) for i in range(M.rows)]))
 
 
 def vec_inf_norm(v):
-    coeffs = tuple(v)
-    if not coeffs:
+    """Largest absolute value, Fraction(0) without values; nan when any value is, wherever it sits."""
+    norms = list(map(abs, v))
+    if not norms:
         return Fraction(0)
-    return max(abs(c) for c in coeffs)
+    top = max(norms)
+    # max keeps its running value against a nan; a float sum of magnitudes is nan only where one is
+    return math.nan if isinstance(top, float) and math.isnan(sum(norms)) else top
 
 
 def mat_power(M: DenseMatrix, k: int) -> DenseMatrix:
@@ -442,9 +446,10 @@ def mat_power(M: DenseMatrix, k: int) -> DenseMatrix:
 
 
 def promote_matrix(M: DenseMatrix, field: Field) -> DenseMatrix:
-    """Return M with entries promoted into ``field`` (demotion is an error);
-    M itself when it is already in ``field``."""
-    return M if M.field is field else DenseMatrix(M.rows, M.cols, M.entries, field)
+    """Return M with entries promoted into ``field`` (demotion is an error), M itself when it is
+    already there; integer rows promote as x / den, which rounds as the reduced Fraction's p / q."""
+    return M if M.field is field else DenseMatrix(M.rows, M.cols, M.entries if M._entries is not None
+                                                  else [x / den for den, nums in M._ints for x in nums], field)
 
 
 def approx_equal(a: DenseMatrix, b: DenseMatrix, tol: float = 1e-10) -> bool:

@@ -163,7 +163,8 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
     entries are filled by a second-order recurrence in the coefficients
     of the multiplication-by-x rule; each entry costs O(1), so the whole
     construction is O(n^2).  Floats run it one comprehension per row of
-    Q; rationals run it on integer rows, see ``_integer_rows``.
+    Q; rationals run it on integer rows, see ``_integer_rows``, and D keeps
+    them where every column is integer, else holds one Fraction per entry.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -171,6 +172,9 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
         raise ValueError(f"degree {n} needs {n} recurrence terms, got {len(rec)}")
     if rec.field is Field.RATIONAL:
         zero, rows = Fraction(0), _integer_rows(rec, n)
+        if all(e == 1 for _, e in rows):   # row r of D holds N_k[r + 1] for k > r
+            return DenseMatrix._from_ints(n + 1, [(1, [0] * (r + 1) + [N[r + 1] for N, _ in rows[r + 1:]])
+                                                  for r in range(n + 1)])
         return DenseMatrix(n + 1, n + 1, [Fraction(rows[k][0][r + 1], rows[k][1]) if r < k else zero
                                           for r in range(n + 1) for k in range(n + 1)], rec.field)
     a, b, g = rec.alpha, rec.beta, rec.gamma

@@ -74,11 +74,11 @@ def hermite_norms_record(n: int, family: str, confluency: int) -> ExperimentReco
 
 
 def hermite_error_record(n: int, family: str, confluency: int) -> ExperimentRecord:
-    """Worst deviation of the interpolant of the constant 1 on the grid."""
+    """Worst deviation of the interpolant of the constant 1 on the grid; nan when any value is."""
     nodes = _node_set(n, family, confluency)
     w = gen_bary_weights(nodes)
     data = constant_data(nodes)
-    err = max(abs(v - 1.0) for v in hermite_eval(w, data, _grid()))
+    err = vec_inf_norm([v - 1.0 for v in hermite_eval(w, data, _grid())])
     return ExperimentRecord(n, family, confluency, max_err=err)
 
 
@@ -94,12 +94,15 @@ def run_experiment(which: str, node_family: str = "chebyshev",
     for n in sizes:
         if n < 1:
             raise ValueError("sizes must be positive")
-        if which == "hermite-norms":
-            out.append(hermite_norms_record(n, node_family, confluency))
-        else:
-            # lagrange-error is the confluency-1 case of hermite-error
-            s = confluency if which == "hermite-error" else 1
-            out.append(hermite_error_record(n, node_family, s))
+        try:
+            if which == "hermite-norms":
+                out.append(hermite_norms_record(n, node_family, confluency))
+            else:
+                # lagrange-error is the confluency-1 case of hermite-error
+                s = confluency if which == "hermite-error" else 1
+                out.append(hermite_error_record(n, node_family, s))
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"at n={n}: {exc}") from exc
     return out
 
 

@@ -118,6 +118,9 @@ def _weights_from_series(nodes: NodeSet, local) -> GenBaryWeights:
                                   "is outside the floating-point range")
         h = series_reciprocal(g, si - 1)
         rows.append(tuple(h[si - 1 - j] for j in range(si)))
+        if not all_finite(nodes.field, rows[-1]):   # g_i(t_i) finite, but too small to invert
+            j = next(j for j, b in enumerate(rows[-1]) if not all_finite(nodes.field, (b,)))
+            raise ArithmeticError(f"the weight b_{i},{j} = {rows[-1][j]!r} is outside the floating-point range")
     return GenBaryWeights(nodes, tuple(rows))
 
 

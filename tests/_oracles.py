@@ -12,7 +12,7 @@ is meaningful evidence.
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from polydiff.core import (
@@ -134,16 +134,20 @@ def nilpotency_index_by_powers(rows):
     """The package's former nilpotency index: D^0, D^1, ..., D^n in turn.
 
     Returns the first power that is zero and raises ``ArithmeticError``
-    when D^n is not, as the package does.
+    when D^n is not, as the package does.  D is cleared to integers once,
+    A = L D with L the lcm of its denominators, and the powers are plain
+    integer products of A, each divided by its content: a power of A is
+    zero exactly when that power of D is, and the integers stay small.
     """
     n = len(rows)
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    cols = list(zip(*rows))
+    scale = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    cols = list(zip(*[[int(x * scale) for x in row] for row in rows]))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(n + 1):
-        if not any(x for row in power for x in row):
+        content = gcd(*chain.from_iterable(power))
+        if not content:
             return k
-        power = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-                 for row in power]
+        power = [[sum(map(mul, row, col)) // content for col in cols] for row in power]
     raise ArithmeticError("matrix is not nilpotent within its dimension")
 
 

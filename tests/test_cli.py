@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, serialization, exit codes, golden outputs."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -162,6 +163,47 @@ def test_matrix_text_refuses_an_entry_past_the_digit_limit():
     for emit in (matrix_to_csv, lambda m: matrix_to_json(m, "b")):
         with pytest.raises(ValueError, match=f"exact result too long to print: .* more than {limit} digits"):
             emit(M)
+
+
+def _seeded_int_rows(rng, rows, cols):
+    """Rows (den, nums) with den 1 and den > 1 (one negative, which _from_ints turns positive),
+    negative entries, entries that reduce to integers or to a smaller denominator, and zero rows."""
+    out = []
+    for _ in range(rows):
+        den = rng.choice([1, 1, 2, 12, -30, 7 * 10 ** 25])
+        out.append((den, [0] * cols if rng.random() < 0.2 else [
+            rng.choice([0, -1, 5 * den, -den, rng.randint(-10 ** 30, 10 ** 30), rng.randint(-60, 60)])
+            for _ in range(cols)]))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (4, 5), (9, 2)], ids=lambda s: "%dx%d" % s)
+def test_row_held_text_is_the_per_entry_format_scalar_join(shape):
+    # a matrix built from integer rows prints from them; the text is what its Fractions print
+    rng, (n, m) = random.Random(2600 + 10 * shape[0] + shape[1]), shape
+    for _ in range(40):
+        M = DenseMatrix._from_ints(m, _seeded_int_rows(rng, n, m))
+        csv, text = matrix_to_csv(M), matrix_to_json(M, "b")
+        assert M._entries is None   # printing formed no Fraction
+        rows = [[format_scalar(e) for e in M.row(i)] for i in range(n)]
+        assert csv == "\n".join(",".join(r) for r in rows) + "\n"
+        assert json.loads(text)["entries"] == rows
+        held = DenseMatrix(n, m, M.entries)   # the same matrix holding its Fractions
+        assert held._entries is not None
+        assert (csv, text) == (matrix_to_csv(held), matrix_to_json(held, "b"))
+
+
+def test_row_held_text_refuses_an_entry_past_the_digit_limit_with_the_fraction_message():
+    limit = sys.get_int_max_str_digits()
+    message = f"exact result too long to print: .* more than {limit} digits"
+    for rows in ([(1, [1, 10 ** limit])], [(3, [1, 10 ** limit])], [(10 ** limit, [1, 2])]):
+        for emit in (matrix_to_csv, lambda m: matrix_to_json(m, "b")):
+            messages = []
+            for M in (DenseMatrix._from_ints(2, rows), DenseMatrix(1, 2, DenseMatrix._from_ints(2, rows).entries)):
+                with pytest.raises(ValueError, match=message) as exc:
+                    emit(M)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
 
 
 @given(st.fractions(max_denominator=10 ** 6))
@@ -549,6 +591,20 @@ def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     limit = sys.get_int_max_str_digits()
     if any(len(v) > limit for v in values):
         assert f"more than {limit} digits" in err
+
+
+@pytest.mark.parametrize("which, n, s, why", [
+    # without these checks they exited 0: max_err read 0.0 at 718, norm_D inf and norm_Z 0.0 at 240
+    ("lagrange-error", 718, 1, "the weight b_346,0 = inf is outside the floating-point range"),
+    ("lagrange-error", 717, 1, "max_err is not finite"),
+    ("hermite-norms", 240, 3, "the weight b_113,0 = -inf is outside the floating-point range"),
+    ("hermite-error", 240, 3, "the weight b_113,0 = -inf is outside the floating-point range"),
+])
+def test_experiment_exits_2_naming_the_size_and_the_quantity(capsys, which, n, s, why):
+    argv = ["experiment", "--which", which, "--nodes", "equispaced", "--n", f"5,{n}"]
+    if which != "lagrange-error":
+        argv += ["--confluency", str(s)]
+    assert run_cli(capsys, argv) == (2, "", f"polydiff: error: arithmetic failure: at n={n}: {why}\n")
 
 
 def test_exact_exponent_past_the_digit_limit_exits_2(capsys):

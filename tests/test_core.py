@@ -252,6 +252,41 @@ def test_promotion_gives_what_coerce_scalar_gives_entry_by_entry():
         DenseMatrix(1, 1, [Fraction(10 ** 400)], Field.REAL)
 
 
+def _int_rows(rng, rows, cols):
+    """Seeded integer rows (den, nums): den 1 and den > 1, negative entries, entries that reduce
+    to integers, zero rows, and numerators past 2^1024 over denominators that bring them back."""
+    out = []
+    for _ in range(rows):
+        den = rng.choice([1, 1, 2, 6, -4, 35, 2 ** 1100 + 3, 10 ** 330 + 7])
+        big = abs(den) > 10 ** 300
+        out.append((den, [0] * cols if rng.random() < 0.15 else [
+            rng.choice([0, 1, -1, den, -3 * den, rng.randint(-10 ** 6, 10 ** 6)])
+            * (rng.randint(1, 10 ** 20) if big else 1) for _ in range(cols)]))
+    return out
+
+
+def test_promoting_integer_rows_equals_promoting_their_fractions():
+    rng = random.Random(26)
+    for field in (Field.REAL, Field.COMPLEX):
+        for _ in range(150):
+            cols = rng.randint(0, 6)
+            rows = _int_rows(rng, rng.randint(0, 6), cols)
+            held, by_fractions = DenseMatrix._from_ints(cols, rows), DenseMatrix._from_ints(cols, rows)
+            got = promote_matrix(held, field)
+            assert held._entries is None   # promotion formed no Fraction
+            want = promote_matrix(DenseMatrix(by_fractions.rows, cols, by_fractions.entries), field)
+            assert (got.rows, got.cols, got.field) == (want.rows, want.cols, field)
+            assert [(type(x), repr(x)) for x in got.entries] == [(type(x), repr(x)) for x in want.entries]
+        # a quotient past the float range overflows as the Fraction's does, with its message
+        rows = [(3, [1, 2 ** 1100 - 1]), (7, [2 ** 1030, 0])]
+        errors = []
+        for M in (DenseMatrix._from_ints(2, rows), DenseMatrix(2, 2, DenseMatrix._from_ints(2, rows).entries)):
+            with pytest.raises(OverflowError) as exc:
+                promote_matrix(M, field)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
 def test_promote_matrix_keeps_a_matrix_already_in_its_field():
     M = DenseMatrix(1, 2, [0.5, -0.0])
     assert promote_matrix(M, Field.REAL) is M
@@ -466,6 +501,17 @@ def test_inf_norm_without_entries_is_a_zero_of_the_norms_type():
             assert (type(norm), repr(norm)) == (type(zero), repr(zero))
     assert repr(mat_inf_norm(DenseMatrix.from_rows([[-0.0, 0.0]]))) == "0.0"
     assert repr(mat_inf_norm(DenseMatrix.from_rows([[3j, -4.0], [1 + 0j, 0j]]))) == "7.0"
+
+
+def test_norms_keep_a_nan_wherever_it_sits():
+    # max alone keeps its running value against a nan, so [0.0, nan] read 0.0 and [nan, 0.0] nan
+    nan, inf = math.nan, math.inf
+    for values in ([0.0, nan], [nan, 0.0], [1.0, nan, 2.0], [inf, nan], [nan, inf], [complex(0, nan), 5.0]):
+        assert math.isnan(vec_inf_norm(values))
+        assert math.isnan(mat_inf_norm(DenseMatrix(len(values), 1, values)))
+        assert math.isnan(mat_inf_norm(DenseMatrix(1, len(values), values)))
+    assert vec_inf_norm([inf, -1.0]) == inf and vec_inf_norm([-3.0, 2.0]) == 3.0
+    assert mat_inf_norm(DenseMatrix.from_rows([[1.0, -inf], [2.0, 0.0]])) == inf
 
 
 def test_norms_are_exact_on_rationals():

@@ -318,6 +318,27 @@ def test_integer_rows_equal_the_fraction_recurrence():
             x for row in want for x in row)
 
 
+def test_integer_instances_stay_integer_rows_and_the_others_hold_their_fractions():
+    cases = list(_seeded_recurrences(random.Random(11)))
+    for n in (0, 1, 30):
+        cases += [(legendre_recurrence(n), n), (monomial_recurrence(n), n), (chebyshev_recurrence(n), n),
+                  (newton_recurrence(range(-3, n - 3)), n)]
+    kinds = []
+    for rec, n in cases:
+        want = [x for row in orc.degree_graded_by_fractions(rec.alpha, rec.beta, rec.gamma, n) for x in row]
+        D = diff_matrix_degree_graded(rec, n)
+        kinds.append(all(x.denominator == 1 for x in want))
+        if kinds[-1]:
+            assert D._entries is None
+        else:
+            # read before anything forms entries: the Fractions the constructor itself holds
+            assert _typed(D._entries) == _typed(want)
+    assert sum(kinds) >= 20 and not all(kinds)
+    for rec, n in ((monomial_recurrence(12), 12), (legendre_recurrence(12), 12),
+                   (newton_recurrence([2, -1, 0, 5, 2]), 5), (RecurrenceSpec([1, -1, 1], [3, 0, 2]), 3)):
+        assert diff_matrix_degree_graded(rec, n)._entries is None
+
+
 def test_float_recurrence_keeps_its_operations():
     rec = RecurrenceSpec([0.5, 1.5, 2.5], [0.25] * 3, [1.5] * 3)
     D = diff_matrix_degree_graded(rec, 3)

@@ -14,6 +14,7 @@ from polydiff.experiments import (
     ExperimentRecord,
     chebyshev_points,
     equispaced_points,
+    hermite_error_record,
     records_to_csv,
     run_experiment,
 )
@@ -81,6 +82,18 @@ def test_experiments_are_deterministic():
     a = run_experiment("hermite-norms", ns=[3, 5])
     b = run_experiment("hermite-norms", ns=[3, 5])
     assert a == b
+
+
+def test_records_at_the_edge_of_the_float_range_show_their_nan_or_refuse():
+    # n=717: the weights are finite, near 1e308, but 464 grid values stay nan behind the
+    # maximum, which a plain max dropped: the record read 9.6e193
+    assert math.isnan(hermite_error_record(717, "equispaced", 1).max_err)
+    # one size past it, or at s=3 from n=240, some weight is infinite: the size is named
+    for which, n, s, named in (("lagrange-error", 718, 1, "b_346,0 = inf"),
+                               ("hermite-norms", 240, 3, "b_113,0 = -inf"),
+                               ("hermite-error", 240, 3, "b_113,0 = -inf")):
+        with pytest.raises(ArithmeticError, match=f"^at n={n}: the weight {named} is outside"):
+            run_experiment(which, "equispaced", s, [3, n])
 
 
 def test_csv_layout():

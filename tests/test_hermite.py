@@ -13,7 +13,7 @@ import pytest
 
 from polydiff import hermite
 from polydiff.core import DenseMatrix, HermiteBasis, NodeSet, mat_apply
-from polydiff.experiments import chebyshev_points
+from polydiff.experiments import chebyshev_points, equispaced_points
 from polydiff.hermite import (
     constant_data,
     diff_matrix_hermite,
@@ -65,6 +65,18 @@ def test_confluency_one_reduces_to_simple_weights():
     # the product formula 1 / prod_{j != k} (t_k - t_j)
     want = tuple((1 / math.prod(tk - tj for tj in ns.nodes if tj != tk),) for tk in ns.nodes)
     assert gw.weights == want
+
+
+def test_a_weight_past_the_float_range_is_refused_and_named():
+    # equispaced nodes on [-1, 1]: every g_i(t_i) is finite, but some are too small to invert
+    for n, s, last_finite, named in ((718, 1, 717, "b_346,0 = inf"), (240, 3, 239, "b_113,0 = -inf")):
+        nodes = NodeSet(equispaced_points(n), [s] * (n + 1))
+        with pytest.raises(ArithmeticError, match=f"^the weight {named} is outside the floating-point range$"):
+            gen_bary_weights(nodes)
+        with pytest.raises(ArithmeticError, match=f"^the weight {named} "):
+            diff_matrix_hermite(nodes)
+        w = gen_bary_weights(NodeSet(equispaced_points(last_finite), [s] * (last_finite + 1)))
+        assert all(math.isfinite(b) for row in w.weights for b in row)
 
 
 def test_partial_fraction_expansion_is_exact():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -558,25 +559,47 @@ def test_nilpotency_index_small_cases():
 
 
 def _seeded_nilpotent(rng, n, index):
-    """S N S^(-1) for a random rational S and N nilpotent Jordan blocks, the largest of size index."""
+    """S N S^(-1) for a random rational S and N nilpotent Jordan blocks, the largest of size index.
+
+    With S cleared to integers, T = L S, the product is T N T^(-1): T N shifts the columns of T,
+    and T^(-1) comes from ``_integer_inverse``, so no Fraction is formed before the result's.
+    """
     sizes = [index]
     while sum(sizes) < n:
         sizes.append(rng.randint(1, min(index, n - sum(sizes))))
     rng.shuffle(sizes)
     starts = {sum(sizes[:b]) + k for b in range(len(sizes)) for k in range(sizes[b] - 1)}
-    N = [[Fraction(int(j == i + 1 and i in starts)) for j in range(n)] for i in range(n)]
     while True:
         S = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        try:
-            Sinv = orc.gauss_jordan_inverse(S)
-        except SingularMatrixError:
+        scale = math.lcm(*(x.denominator for row in S for x in row))
+        T = [[int(x * scale) for x in row] for row in S]
+        inverse = _integer_inverse(T)
+        if inverse is None:
             continue
-        return _plain_product(_plain_product(S, N), Sinv)
+        # row i of T^(-1) is v / d; over the lcm D of the d its columns are integers
+        D = math.lcm(*(d for d, _ in inverse))
+        cols = list(zip(*[[x * (D // d) for x in v] for d, v in inverse]))
+        TN = [[row[j - 1] if j - 1 in starts else 0 for j in range(n)] for row in T]
+        return [[Fraction(sum(map(operator.mul, row, col)), D) for col in cols] for row in TN]
 
 
-def _plain_product(A, B):
-    cols = list(zip(*B))
-    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A]
+def _integer_inverse(T):
+    """Rows (d, v), v / d row i of T^(-1), by Gauss-Jordan elimination on [T | I] in integers, each
+    row divided by its content; None when T is singular."""
+    n = len(T)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(T)]
+    for col in range(n):
+        p = next((r for r in range(col, n) if a[r][col]), None)
+        if p is None:
+            return None
+        a[col], a[p] = a[p], a[col]
+        pivot = a[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                row = [pivot[col] * x - a[r][col] * y for x, y in zip(a[r], pivot)]
+                g = math.gcd(*row)
+                a[r] = [x // g for x in row]
+    return [(a[i][i], a[i][n:]) for i in range(n)]
 
 
 def test_nilpotency_index_on_seeded_nilpotent_matrices():
