@@ -11,6 +11,8 @@ not the Moore-Penrose pseudoinverse in general.
 The same data yields an independent oracle for any differentiation
 matrix: conjugate the (trivially correct) monomial matrix by the
 basis-change matrix M whose columns are the monomial images x^k.
+The nilpotency index n + 1 is the longest Krylov chain D^k e_j over the
+basis vectors; for every basis here the chain from the last element has it.
 """
 
 from __future__ import annotations
@@ -174,49 +176,35 @@ def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-
     return approx_equal(X * D, D, tol) and approx_equal(Dp * X, Dp, tol)
 
 
-def _reduced_product(X, Y) -> list:
-    """X Y over integer rows, divided by its content; a zero product stays zero."""
-    cols = list(zip(*Y))
-    P = [[sum(map(mul, row, col)) for col in cols] for row in X]
-    content = math.gcd(*(x for row in P for x in row))
-    return [[x // content for x in row] for row in P] if content else P
-
-
 def nilpotency_index(D: DenseMatrix) -> int:
     """Smallest k with D^k = 0, over integers; requires the exact rational field.
 
-    Follows v = e_(n-1), v <- A v on A = L D, L the lcm of its row denominators,
-    each v divided by its content, which keeps zero zero.  A^n v = 0 != A^(n-1) v
-    proves index n: v, A v, ..., A^(n-1) v are then independent (apply A^(n-1-j) to
-    a relation with lowest term j), a basis A^n kills; A^n v != 0 proves A is not
-    nilpotent.  A chain that dies early falls back to squaring A until a power vanishes,
-    then building the largest nonzero power from the squares: O(log n) products.
+    One rule: the longest chain e_j, A e_j, A^2 e_j, ... over the basis vectors, A = L D
+    with L the lcm of its row denominators and each v divided by its content (zero stays
+    zero), since A^k = 0 exactly when every A^k e_j = 0.  Chains start at e_(n-1), then
+    e_0, e_1, ...: a triangular nilpotent A has its longest chain at one end, e_(n-1) if
+    upper triangular (every degree-graded D), e_0 if lower.  A chain of length n proves
+    index n: v, ..., A^(n-1) v are then independent (apply A^(n-1-j) to a relation with
+    lowest term j), a basis A^n kills; A^n v != 0 proves A is not nilpotent.
     """
     if D.rows != D.cols:
         raise ValueError("nilpotency is a property of square matrices")
     if D.field is not Field.RATIONAL:
         raise ValueError("nilpotency index needs the exact rational field")
     n, L = D.rows, math.lcm(*(d for d, _ in D._int_rows()))
-    squares = [[[x * (L // d) for x in r] for d, r in D._int_rows()]]   # A^(2^j), each up to a factor
-    v, k = [int(i == n - 1) for i in range(n)], 0   # A^k e_(n-1), up to a factor: cyclic for every basis here
-    while k < n and any(v):
-        v = [sum(map(mul, row, v)) for row in squares[0]]
-        c, k = math.gcd(*v) or 1, k + 1
-        v = [x // c for x in v]
-    if any(v):
-        raise ArithmeticError("matrix is not nilpotent within its dimension")
-    if k == n:
-        return n
-    while any(map(any, squares[-1])):
-        if 2 ** (len(squares) - 1) >= n:
+    A, index = [[x * (L // d) for x in r] for d, r in D._int_rows()], 0
+    for j in (n - 1, *range(n - 1)):
+        v, k = [int(i == j) for i in range(n)], 0
+        while k < n and any(v):
+            v = [sum(map(mul, row, v)) for row in A]
+            c, k = math.gcd(*v) or 1, k + 1
+            v = [x // c for x in v]
+        if any(v):
             raise ArithmeticError("matrix is not nilpotent within its dimension")
-        squares.append(_reduced_product(squares[-1], squares[-1]))
-    X, e = None, 0   # X = A^e, None standing for A^0
-    for j in reversed(range(len(squares) - 1)):
-        Y = squares[j] if X is None else _reduced_product(X, squares[j])
-        if any(map(any, Y)):
-            X, e = Y, e + 2 ** j
-    return e + 1
+        if k == n:
+            return n
+        index = max(index, k)
+    return index
 
 
 def conjugation_oracle(basis) -> DenseMatrix:

@@ -12,7 +12,7 @@ is meaningful evidence.
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from operator import add, mul
 
 from polydiff.core import (
@@ -149,6 +149,28 @@ def nilpotency_index_by_powers(rows):
             return k
         power = [[sum(map(mul, row, col)) // content for col in cols] for row in power]
     raise ArithmeticError("matrix is not nilpotent within its dimension")
+
+
+# ---------------------------------------------------------- forward error over integers
+
+def row_forward_errors(float_rows, exact_rows):
+    """Normwise relative forward error of each float row, with no Fraction formed.
+
+    ``exact_rows`` holds (D, [N_j]) with D > 0, entry j being N_j / D.  A float
+    x = p/q (``float.as_integer_ratio``) is off N/D by |p D - N q| / (q D); row
+    i gives max_j of those over max_j |N_j| / D, each quotient one correctly
+    rounded ``int / int``.  A zero exact row gives 0.0 when the float row is
+    zero too, else inf.
+    """
+    out = []
+    for row, (den, nums) in zip(float_rows, exact_rows, strict=True):
+        err = 0.0
+        for x, num in zip(row, nums, strict=True):
+            p, q = x.as_integer_ratio()
+            err = max(err, abs(p * den - num * q) / (q * den))
+        size = max(map(abs, nums), default=0) / den
+        out.append(err / size if size else (inf if err else 0.0))
+    return out
 
 
 # ---------------------------------------------------------- former constructors

@@ -1,5 +1,6 @@
 """Degree-graded constructors: closed forms, the Q recurrence, and Newton bases."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -345,3 +346,72 @@ def test_float_recurrence_keeps_its_operations():
     assert D.field is Field.REAL and all(type(x) is float for x in D.entries)
     assert D.entries == tuple(x for row in orc.degree_graded_by_fractions(
         rec.alpha, rec.beta, rec.gamma, 3) for x in row)
+
+
+# ---------------------------------------------------------------- forward error
+
+def _absolute_rows(alpha, beta, gamma, n):
+    """Rows of Dbar: the Q recurrence on absolute values, with |beta_(j-1) - beta_(i-1)| as the
+    beta factor and the gamma_(i-1) term added, over Fractions.  Column 0 stays zero, so the
+    alpha term vanishes at j = 1."""
+    a, g = [abs(x) for x in alpha], [abs(x) for x in gamma]
+    Q = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        Q[i][i] = i / a[i - 1]
+        for j in range(1, i):
+            Q[i][j] = (abs(beta[j - 1] - beta[i - 1]) * Q[i - 1][j] + a[j - 2] * Q[i - 1][j - 1]
+                       + g[j] * Q[i - 1][j + 1] + g[i - 1] * Q[i - 2][j]) / a[i - 1]
+    return [[Q[k][r + 1] if r < k else 0 for k in range(n + 1)] for r in range(n + 1)]
+
+
+def _dyadic_recurrences(rng):
+    """(float recurrence, degree): integer Newton centres and integer recurrences with
+    |alpha| = 1 up to degree 12, then dyadic Newton centres, Chebyshev points, dyadic
+    recurrences and Legendre's rounded coefficients."""
+    for n in range(1, 13):
+        yield newton_recurrence([float(rng.randint(-4, 4)) for _ in range(n + 1)]), n
+        yield RecurrenceSpec([rng.choice([-1.0, 1.0]) for _ in range(n)],
+                             [float(rng.randint(-3, 3)) for _ in range(n)],
+                             [float(rng.randint(-3, 3)) for _ in range(n)]), n
+    for n in range(1, 21):
+        yield newton_recurrence([rng.randint(-1024, 1024) / 1024 for _ in range(n + 1)]), n
+        yield newton_recurrence([math.cos(math.pi * k / n) for k in range(n + 1)]), n
+        yield RecurrenceSpec([rng.choice([-1, 1]) * rng.randint(8, 32) / 16 for _ in range(n)],
+                             [rng.randint(-16, 16) / 16 for _ in range(n)],
+                             [rng.randint(-16, 16) / 16 for _ in range(n)]), n
+    for n in (1, 2, 5, 10, 20, 30):
+        rec = legendre_recurrence(n)
+        yield RecurrenceSpec(*([float(x) for x in c] for c in (rec.alpha, rec.beta, rec.gamma))), n
+
+
+def test_float_degree_graded_forward_error_over_integers():
+    """Float D against the rational constructor on the same dyadic coefficients.
+
+    The bound (Higham, ch. 3: fl(x op y) = (x op y)(1 + d), |d| <= u = 2^-53, no underflow).
+    An entry of row i of Q takes at most six roundings on any of its terms (the beta
+    difference, the product, three additions, the division) on top of the errors of rows i-1
+    and i-2, so by induction |Qhat_i[j] - Q_i[j]| <= gamma_(6i) Qbar_i[j], Qbar the recurrence
+    on absolute values and gamma_k = k u / (1 - k u).  Row r of D then errs by at most
+    gamma_(6n) max Dbar_r; the comparator's two quotients and their ratio add three roundings,
+    so its relative error is at most gamma_(6n+3) max Dbar_r / max |D_r|.  Where every
+    coefficient is an integer, |alpha| = 1 and Dbar < 2^53, every product and partial sum is an
+    integer below 2^53 (each is bounded by Qbar), so the float D is exact and the bound is 0.
+    """
+    exact_cases = rounded = 0
+    for rec, n in _dyadic_recurrences(random.Random(9)):
+        abg = [[Fraction(x) for x in c] for c in (rec.alpha, rec.beta, rec.gamma)]
+        D = diff_matrix_degree_graded(rec, n)
+        exact = diff_matrix_degree_graded(RecurrenceSpec(*abg), n)
+        assert D.field is Field.REAL and exact.field is Field.RATIONAL
+        bar = _absolute_rows(*abg, n)
+        integral = all(x.denominator == 1 for c in abg for x in c[:n]) and {abs(a) for a in abg[0][:n]} == {1}
+        if integral:
+            assert max(map(max, bar)) < 2 ** 53
+            exact_cases += 1
+        gamma = 0 if integral else Fraction(6 * n + 3, 2 ** 53 - 6 * n - 3)
+        errors = orc.row_forward_errors([D.row(r) for r in range(n + 1)], exact._int_rows())
+        for err, row_bar, row in zip(errors, bar, exact.to_rows()):
+            size = max(map(abs, row))
+            assert err <= (gamma * max(row_bar) / size if size else 0), (rec, n, err)
+            rounded += err > 0
+    assert exact_cases >= 24 and rounded

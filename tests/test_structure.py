@@ -32,7 +32,6 @@ from polydiff.degree_graded import (
     monomial_basis,
     newton_basis,
 )
-from polydiff import structure
 from polydiff.families import FAMILIES
 from polydiff.hermite import diff_matrix_hermite
 from polydiff.lagrange import diff_matrix_lagrange
@@ -482,24 +481,19 @@ def test_pseudo_inverse_complex_lagrange():
 
 # ---------------------------------------------------------------- nilpotency
 
-def _refuse_squaring(monkeypatch):
-    """Make the squaring fallback raise, so that only the Krylov chain can answer."""
-    def refuse(X, Y):
-        raise AssertionError("the chain from e_(n-1) should have settled the index")
-    monkeypatch.setattr(structure, "_reduced_product", refuse)
-
-
-def test_nilpotency_index_input_checks(monkeypatch):
+def test_nilpotency_index_input_checks():
     with pytest.raises(ValueError):
         nilpotency_index(DenseMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
         nilpotency_index(DenseMatrix.zeros(2, 2, Field.REAL))
     not_nilpotent = "matrix is not nilpotent within its dimension"
-    # the squaring loop raises: e_1 is killed at once, but diag(1, 0) is idempotent
-    with pytest.raises(ArithmeticError, match=not_nilpotent):
-        nilpotency_index(DenseMatrix.from_rows([[1, 0], [0, 0]]))
-    _refuse_squaring(monkeypatch)
-    # the chain raises on its own: A^n e_(n-1) != 0
+    # e_(n-1) is killed at once, but diag(1, 0) is idempotent: the chain from e_0 raises,
+    # and for diag(0, 1, 0) only the chain from e_1, at neither end
+    for M in (DenseMatrix.from_rows([[1, 0], [0, 0]]),
+              DenseMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])):
+        with pytest.raises(ArithmeticError, match=not_nilpotent):
+            nilpotency_index(M)
+    # the first chain raises on its own: A^n e_(n-1) != 0
     for M in (DenseMatrix.identity(3), DenseMatrix.from_rows([[Fraction(-2, 7)]]),
               DenseMatrix.from_rows([[0, 1], [1, 0]]), DenseMatrix.from_rows([[0, 0], [5, 1]])):
         with pytest.raises(ArithmeticError, match=not_nilpotent):
@@ -509,22 +503,22 @@ def test_nilpotency_index_input_checks(monkeypatch):
     assert nilpotency_index(DenseMatrix.zeros(1, 1)) == 1
 
 
-def test_nilpotency_index_of_every_family_comes_from_the_chain(monkeypatch):
-    """The last basis element has full degree, so e_(n-1) is cyclic and no square is formed."""
+def test_nilpotency_index_of_every_family_comes_from_the_chain():
+    """The last basis element has full degree, so e_(n-1) is cyclic: its chain has length n."""
     matrices = [(FAMILIES[name].diff_matrix(_rational_instance(name, dim, random.Random(dim))), dim)
                 for name in FAMILIES for dim in range(1, 13)]
     matrices += [(diff_matrix_bernstein(30), 31),
                  (diff_matrix_lagrange(NodeSet([Fraction(k - 20, 20) for k in range(41)])), 41)]
-    _refuse_squaring(monkeypatch)
     for D, dim in matrices:
         assert nilpotency_index(D) == dim
 
 
-def test_nilpotency_index_falls_back_when_the_chain_dies_early(monkeypatch):
+def test_nilpotency_index_falls_back_when_the_chain_dies_early():
+    """Index n where the chain from e_(n-1) dies early: a later chain has length n."""
     rng = random.Random(24)
     cases = []
     for n in range(2, 13):
-        # J^T, ones below the diagonal: A e_(n-1) = 0 at once, yet the index is n
+        # J^T, ones below the diagonal: A e_(n-1) = 0 at once, the chain from e_0 has length n
         cases.append([[int(i == j + 1) for j in range(n)] for i in range(n)])
         # J with its basis permuted so that e_(n-1) sits at place m < n - 1 of the
         # cycle: the chain from it dies after m + 1 products
@@ -533,13 +527,9 @@ def test_nilpotency_index_falls_back_when_the_chain_dies_early(monkeypatch):
             rng.shuffle(sigma)
         cases.append([[int(sigma.index(j) == sigma.index(i) + 1) for j in range(n)]
                       for i in range(n)])
-    calls, product = [], structure._reduced_product   # counts the squaring loop's products
-    monkeypatch.setattr(structure, "_reduced_product", lambda X, Y: calls.append(1) or product(X, Y))
     for rows in cases:
-        before = len(calls)
         assert nilpotency_index(DenseMatrix.from_rows(rows)) == len(rows)
         assert orc.nilpotency_index_by_powers(rows) == len(rows)
-        assert len(calls) > before, rows
 
 
 def test_nilpotency_index_small_cases():
@@ -551,6 +541,8 @@ def test_nilpotency_index_small_cases():
         (DenseMatrix.from_rows([[0, F(1, 3), 5], [0, 0, F(-2, 7)], [0, 0, 0]]), 3),
         # u v^T with v.u = 0, u = (1, 2, 3) and v = (3, 0, -1) / 7: no triangular pattern
         (DenseMatrix.from_rows([[F(3 * a, 7), 0, F(-a, 7)] for a in (1, 2, 3)]), 2),
+        # J_3 on indices 1..3 of a 5x5 zero matrix: both end chains have length 1
+        (DenseMatrix.from_rows([[int((i, j) in ((1, 2), (2, 3))) for j in range(5)] for i in range(5)]), 3),
     ]
     for D, want in cases:
         assert nilpotency_index(D) == want
