@@ -25,7 +25,6 @@ from .core import (
     mat_apply,
     mat_inf_norm,
     mat_power,
-    promote_matrix,
     vec_inf_norm,
 )
 from .degree_graded import (

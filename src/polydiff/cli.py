@@ -6,12 +6,13 @@ antidifferentiation / generalized-inverse companion with ``--pinv``),
 suite, and ``experiment`` reproduces the double-precision conditioning
 runs as CSV.
 
-Serialization is text-only and round-trips: exact rationals as "p/q"
-(bare integers without the slash), floats via ``repr``, complex values
-as "a+bi".  Exit codes: 0 success, 1 verification failure, 2 usage
-error (including malformed values, inconsistent flag combinations and
-floating-point breakdown such as weights that underflow to zero, or a
-floating-point result that would print inf or nan).
+Serialization is text-only and round-trips, in the requested field and,
+for a matrix held as integer rows, straight from them: exact rationals
+as "p/q" (bare integers without the slash), floats via ``repr``, complex
+values as "a+bi".  Exit codes: 0 success, 1 verification failure, 2
+usage error (including malformed values, inconsistent flag combinations
+and floating-point breakdown such as weights that underflow to zero, or
+a floating-point result that would print inf or nan).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import experiments, hermite, structure, verify
-from .core import DenseMatrix, Field, NodeSet, all_finite, field_of, promote_matrix
+from .core import DenseMatrix, Field, NodeSet, all_finite, field_of
 from .degree_graded import RecurrenceSpec
 from .families import FAMILIES
 
@@ -131,12 +132,17 @@ def parse_int_list(spec: str) -> list[int]:
 
 # ------------------------------------------------------------ output
 
-def _row_texts(M: DenseMatrix):
-    """The texts of each row in turn.  A matrix holding no entries yet prints its integer rows (den, nums),
-    each entry over its gcd with den as ``str(Fraction)`` prints it, with no Fraction formed."""
+def _row_texts(M: DenseMatrix, field: Field):
+    """The texts of each row in turn, in ``field``.  Held entries print after the constructor promotes
+    them, if they are in another field; integer rows (den, nums) print with no Fraction formed: exactly,
+    each entry over its gcd with den as ``str(Fraction)`` prints it, else each x / den, rounded as p / q."""
     if M._entries is not None:
-        fmt = _FORMATTERS[M.field]
-        yield from (list(map(fmt, M.row(i))) for i in range(M.rows))
+        M = M if field is M.field else DenseMatrix(M.rows, M.cols, M.entries, field)
+        yield from (list(map(_FORMATTERS[field], M.row(i))) for i in range(M.rows))
+        return
+    if field is not Field.RATIONAL:   # complex(x / den) has imaginary part +0.0
+        fmt = repr if field is Field.REAL else "{!r}+0.0i".format
+        yield from (list(map(fmt, map(den.__rtruediv__, nums))) for den, nums in M._ints)
         return
     try:
         for den, nums in M._ints:
@@ -147,19 +153,20 @@ def _row_texts(M: DenseMatrix):
         raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from exc
 
 
-def matrix_to_csv(M: DenseMatrix) -> str:
-    return "\n".join(map(",".join, _row_texts(M))) + "\n"
+def matrix_to_csv(M: DenseMatrix, field: Field | None = None) -> str:
+    return "\n".join(map(",".join, _row_texts(M, field or M.field))) + "\n"
 
 
-def matrix_to_json(M: DenseMatrix, basis_name: str) -> str:
-    """The text of ``json.dumps(record, indent=2)``, joined from one encoded row at a time:
-    the row's separator quotes each text on its own line, where indent=2 places it."""
+def matrix_to_json(M: DenseMatrix, basis_name: str, field: Field | None = None) -> str:
+    """The text of ``json.dumps(record, indent=2)`` for M in ``field`` (M's own by default), joined from
+    one encoded row at a time: the row's separator quotes each text on its own line, where indent=2 puts it."""
+    field = field or M.field
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
     rows = ",\n    ".join(f"[\n      {encode(texts)[1:-1]}\n    ]" if M.cols else "[]"
-                          for texts in _row_texts(M))
+                          for texts in _row_texts(M, field))
     entries = f"[\n    {rows}\n  ]" if M.rows else "[]"
     return (f'{{\n  "basis": {json.dumps(basis_name)},\n  "dimension": {M.rows},\n'
-            f'  "field": {json.dumps(M.field.value)},\n  "entries": {entries}\n}}\n')
+            f'  "field": {json.dumps(field.value)},\n  "entries": {entries}\n}}\n')
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -219,15 +226,14 @@ def cmd_matrix(args) -> int:
         if args.pinv:
             V = structure.build_V(structure.monomial_images(family.basis(arg)))
             M = structure.pseudo_inverse(M, V)
-    # read before promotion: exact companions promoted to floats do not warn
-    inexact_pinv = args.pinv and M.field is not Field.RATIONAL
-    M = promote_matrix(M, field)
-    if M.field is not Field.RATIONAL and not all_finite(M.field, M.entries):
-        raise ArithmeticError("the floating-point result is not finite")
-    if inexact_pinv:
-        print("polydiff: warning: pseudo-inverse computed in floating point; "
-              "entries may lose accuracy", file=sys.stderr)
-    text = matrix_to_json(M, basis) if args.fmt == "json" else matrix_to_csv(M)
+    # a matrix holding entries was built in ``field``; integer rows print in it as x / den, always finite
+    if M.field is not Field.RATIONAL:
+        if not all_finite(M.field, M.entries):
+            raise ArithmeticError("the floating-point result is not finite")
+        if args.pinv:
+            print("polydiff: warning: pseudo-inverse computed in floating point; "
+                  "entries may lose accuracy", file=sys.stderr)
+    text = matrix_to_json(M, basis, field) if args.fmt == "json" else matrix_to_csv(M, field)
     _emit(text, args.out)
     return 0
 

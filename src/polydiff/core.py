@@ -138,7 +138,7 @@ class DenseMatrix:
     ``structure.py``) read and build only that form.  A matrix built from
     entries gets its rows on the first such read; one built by a kernel forms
     one ``Fraction`` per entry on the first read of ``entries``, indexing,
-    ``row``, ``column`` or hashing, and none for output or promotion.  Both
+    ``row``, ``column`` or hashing, and none for output in any field.  Both
     forms are cached.
     """
 
@@ -443,13 +443,6 @@ def mat_power(M: DenseMatrix, k: int) -> DenseMatrix:
         if k:
             M = M * M
     return out
-
-
-def promote_matrix(M: DenseMatrix, field: Field) -> DenseMatrix:
-    """Return M with entries promoted into ``field`` (demotion is an error), M itself when it is
-    already there; integer rows promote as x / den, which rounds as the reduced Fraction's p / q."""
-    return M if M.field is field else DenseMatrix(M.rows, M.cols, M.entries if M._entries is not None
-                                                  else [x / den for den, nums in M._ints for x in nums], field)
 
 
 def approx_equal(a: DenseMatrix, b: DenseMatrix, tol: float = 1e-10) -> bool:

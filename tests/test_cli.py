@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polydiff.bernstein
+import polydiff.cli
 import polydiff.degree_graded
 import polydiff.hermite
 import polydiff.lagrange
@@ -166,31 +167,65 @@ def test_matrix_text_refuses_an_entry_past_the_digit_limit():
 
 
 def _seeded_int_rows(rng, rows, cols):
-    """Rows (den, nums) with den 1 and den > 1 (one negative, which _from_ints turns positive),
-    negative entries, entries that reduce to integers or to a smaller denominator, and zero rows."""
+    """Rows (den, nums) with den 1 and den > 1 (two negative, which _from_ints turns positive),
+    negative entries, entries that reduce to integers or to a smaller denominator, zero rows, and
+    numerators past 2^53 and past 2^1024 over denominators that bring them back."""
     out = []
     for _ in range(rows):
-        den = rng.choice([1, 1, 2, 12, -30, 7 * 10 ** 25])
+        den = rng.choice([1, 1, 2, 12, -30, -4, 35, 7 * 10 ** 25, 2 ** 1100 + 3, 10 ** 330 + 7])
+        big = den > 2 ** 1024
         out.append((den, [0] * cols if rng.random() < 0.2 else [
             rng.choice([0, -1, 5 * den, -den, rng.randint(-10 ** 30, 10 ** 30), rng.randint(-60, 60)])
-            for _ in range(cols)]))
+            * (rng.randint(1, 10 ** 20) if big else 1) for _ in range(cols)]))
     return out
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (4, 5), (9, 2)], ids=lambda s: "%dx%d" % s)
 def test_row_held_text_is_the_per_entry_format_scalar_join(shape):
-    # a matrix built from integer rows prints from them; the text is what its Fractions print
+    # a matrix built from integer rows prints from them in every field; the text is what its
+    # Fractions print, promoted into that field by the constructor
     rng, (n, m) = random.Random(2600 + 10 * shape[0] + shape[1]), shape
     for _ in range(40):
         M = DenseMatrix._from_ints(m, _seeded_int_rows(rng, n, m))
-        csv, text = matrix_to_csv(M), matrix_to_json(M, "b")
+        texts = {field: (matrix_to_csv(M, field), matrix_to_json(M, "b", field)) for field in Field}
+        assert texts[Field.RATIONAL] == (matrix_to_csv(M), matrix_to_json(M, "b"))
         assert M._entries is None   # printing formed no Fraction
-        rows = [[format_scalar(e) for e in M.row(i)] for i in range(n)]
-        assert csv == "\n".join(",".join(r) for r in rows) + "\n"
-        assert json.loads(text)["entries"] == rows
         held = DenseMatrix(n, m, M.entries)   # the same matrix holding its Fractions
         assert held._entries is not None
-        assert (csv, text) == (matrix_to_csv(held), matrix_to_json(held, "b"))
+        for field, (csv, text) in texts.items():
+            promoted = DenseMatrix(n, m, M.entries, field)
+            rows = [[format_scalar(e) for e in promoted.row(i)] for i in range(n)]
+            assert csv == "\n".join(",".join(r) for r in rows) + "\n"
+            assert json.loads(text) == {"basis": "b", "dimension": n, "field": field.value, "entries": rows}
+            assert (csv, text) == (matrix_to_csv(promoted), matrix_to_json(promoted, "b"))
+            assert (csv, text) == (matrix_to_csv(held, field), matrix_to_json(held, "b", field))
+
+
+def test_row_held_text_past_the_float_range_overflows_with_the_constructor_message(monkeypatch, capsys):
+    rows = [(3, [1, 2 ** 1100 - 1]), (7, [2 ** 1030, 0])]
+    for field in (Field.REAL, Field.COMPLEX):
+        # a quotient past the float range overflows as the promoted Fraction's does, with its message
+        with pytest.raises(OverflowError) as want:
+            DenseMatrix(2, 2, DenseMatrix._from_ints(2, rows).entries, field)
+        for emit in (matrix_to_csv, lambda M, f: matrix_to_json(M, "b", f)):
+            M = DenseMatrix._from_ints(2, rows)
+            with pytest.raises(OverflowError) as got:
+                emit(M, field)
+            assert str(got.value) == str(want.value) and M._entries is None
+        # and the command exits 2 with it, printing nothing else
+        monkeypatch.setattr(polydiff.bernstein, "diff_matrix_bernstein", lambda n: DenseMatrix._from_ints(2, rows))
+        for fmt in ("csv", "json"):
+            assert run_cli(capsys, ["matrix", "--basis", "bernstein", "--degree", "1", "--field", field.value,
+                                    "--format", fmt]) == (2, "", f"polydiff: error: arithmetic failure: {want.value}\n")
+
+
+def test_a_matrix_already_in_the_requested_field_prints_its_own_entries(monkeypatch):
+    M = DenseMatrix(1, 2, [0.5, -0.0])
+    want = (matrix_to_csv(M), matrix_to_json(M, "b"))
+    monkeypatch.setattr(polydiff.cli, "DenseMatrix", None)   # no matrix is built to print it
+    assert (matrix_to_csv(M, Field.REAL), matrix_to_json(M, "b", Field.REAL)) == want == (
+        "0.5,-0.0\n", '{\n  "basis": "b",\n  "dimension": 1,\n  "field": "real",\n  "entries": [\n'
+        '    [\n      "0.5",\n      "-0.0"\n    ]\n  ]\n}\n')
 
 
 def test_row_held_text_refuses_an_entry_past_the_digit_limit_with_the_fraction_message():
@@ -482,6 +517,27 @@ def test_matrix_pinv_every_basis(capsys, basis):
     Dp = parse_csv_matrix(out)
     assert Dp == companion(D)
     assert verify_generalized_inverse(D, Dp)
+
+
+@pytest.mark.parametrize("basis", ["monomial", "chebyshev", "legendre", "bernstein"])
+def test_exact_matrices_print_in_floating_fields_as_their_promoted_fractions(capsys, basis):
+    # the constructor promotes the exact matrix; every field's text is the per-entry format_scalar join
+    family = FAMILIES[basis]
+    for degree in (0, 1, 7, 40):
+        D = family.diff_matrix(degree)
+        for pinv, M in ((False, D), (True, family.antideriv(degree) if family.antideriv
+                                     else _structured_pinv(D, family.basis(degree)))):
+            assert M._entries is None   # held as integer rows, which the command prints from
+            for field in (Field.REAL, Field.COMPLEX):
+                promoted = DenseMatrix(M.rows, M.cols, M.entries, field)
+                rows = [[format_scalar(e) for e in promoted.row(i)] for i in range(M.rows)]
+                want = {"csv": "".join(",".join(r) + "\n" for r in rows),
+                        "json": json.dumps({"basis": basis, "dimension": M.rows, "field": field.value,
+                                            "entries": rows}, indent=2) + "\n"}
+                for fmt, text in want.items():
+                    argv = ["matrix", "--basis", basis, "--degree", str(degree), "--field", field.value,
+                            "--format", fmt] + ["--pinv"] * pinv
+                    assert run_cli(capsys, argv) == (0, text, ""), argv
 
 
 def test_matrix_looks_up_constructor_at_call_time(monkeypatch, capsys):

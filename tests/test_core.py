@@ -23,7 +23,6 @@ from polydiff.core import (
     mat_apply,
     mat_inf_norm,
     mat_power,
-    promote_matrix,
     vec_inf_norm,
     zero_of,
 )
@@ -230,10 +229,11 @@ def test_from_rows_rejects_ragged_input():
 def test_matrix_field_inference_and_promotion():
     assert DenseMatrix(1, 2, [1, 0.5]).field is Field.REAL
     assert DenseMatrix(1, 2, [1, 1j]).field is Field.COMPLEX
-    M = promote_matrix(DenseMatrix.identity(2), Field.COMPLEX)
+    # the constructor with a field is the promotion rule, and it refuses to demote
+    M = DenseMatrix(2, 2, DenseMatrix.identity(2).entries, Field.COMPLEX)
     assert M.field is Field.COMPLEX and M[0, 0] == 1 + 0j
     with pytest.raises(FieldError):
-        promote_matrix(DenseMatrix(1, 1, [0.5]), Field.RATIONAL)
+        DenseMatrix(1, 1, DenseMatrix(1, 1, [0.5]).entries, Field.RATIONAL)
 
 
 def test_promotion_gives_what_coerce_scalar_gives_entry_by_entry():
@@ -252,44 +252,10 @@ def test_promotion_gives_what_coerce_scalar_gives_entry_by_entry():
         DenseMatrix(1, 1, [Fraction(10 ** 400)], Field.REAL)
 
 
-def _int_rows(rng, rows, cols):
-    """Seeded integer rows (den, nums): den 1 and den > 1, negative entries, entries that reduce
-    to integers, zero rows, and numerators past 2^1024 over denominators that bring them back."""
-    out = []
-    for _ in range(rows):
-        den = rng.choice([1, 1, 2, 6, -4, 35, 2 ** 1100 + 3, 10 ** 330 + 7])
-        big = abs(den) > 10 ** 300
-        out.append((den, [0] * cols if rng.random() < 0.15 else [
-            rng.choice([0, 1, -1, den, -3 * den, rng.randint(-10 ** 6, 10 ** 6)])
-            * (rng.randint(1, 10 ** 20) if big else 1) for _ in range(cols)]))
-    return out
-
-
-def test_promoting_integer_rows_equals_promoting_their_fractions():
-    rng = random.Random(26)
-    for field in (Field.REAL, Field.COMPLEX):
-        for _ in range(150):
-            cols = rng.randint(0, 6)
-            rows = _int_rows(rng, rng.randint(0, 6), cols)
-            held, by_fractions = DenseMatrix._from_ints(cols, rows), DenseMatrix._from_ints(cols, rows)
-            got = promote_matrix(held, field)
-            assert held._entries is None   # promotion formed no Fraction
-            want = promote_matrix(DenseMatrix(by_fractions.rows, cols, by_fractions.entries), field)
-            assert (got.rows, got.cols, got.field) == (want.rows, want.cols, field)
-            assert [(type(x), repr(x)) for x in got.entries] == [(type(x), repr(x)) for x in want.entries]
-        # a quotient past the float range overflows as the Fraction's does, with its message
-        rows = [(3, [1, 2 ** 1100 - 1]), (7, [2 ** 1030, 0])]
-        errors = []
-        for M in (DenseMatrix._from_ints(2, rows), DenseMatrix(2, 2, DenseMatrix._from_ints(2, rows).entries)):
-            with pytest.raises(OverflowError) as exc:
-                promote_matrix(M, field)
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1]
-
-
-def test_promote_matrix_keeps_a_matrix_already_in_its_field():
+def test_a_matrix_already_in_its_field_keeps_its_entries():
+    # values all of the field's type come back as the same tuple, with no coercion pass
     M = DenseMatrix(1, 2, [0.5, -0.0])
-    assert promote_matrix(M, Field.REAL) is M
+    assert DenseMatrix(1, 2, M.entries, Field.REAL).entries is M.entries
     assert hash(Field.REAL) == object.__hash__(Field.REAL)
 
 
