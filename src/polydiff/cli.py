@@ -7,12 +7,13 @@ suite, and ``experiment`` reproduces the double-precision conditioning
 runs as CSV.
 
 Serialization is text-only and round-trips, in the requested field and,
-for a matrix held as integer rows, straight from them: exact rationals
-as "p/q" (bare integers without the slash), floats via ``repr``, complex
-values as "a+bi".  Exit codes: 0 success, 1 verification failure, 2
-usage error (including malformed values, inconsistent flag combinations
-and floating-point breakdown such as weights that underflow to zero, or
-a floating-point result that would print inf or nan).
+for a matrix held as integer rows, straight from them, each distinct
+value of a row formatted once: exact rationals as "p/q" (bare integers
+without the slash), floats via ``repr``, complex values as "a+bi".  Exit
+codes: 0 success, 1 verification failure, 2 usage error (including
+malformed values, inconsistent flag combinations and floating-point
+breakdown such as weights that underflow to zero, or a floating-point
+result that would print inf or nan).
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def _complex_text(x: complex) -> str:
 _FORMATTERS = {Field.RATIONAL: _exact_text, Field.REAL: repr, Field.COMPLEX: _complex_text}
 
 
+# the text of an integer x over den > 0 in each field, no Fraction formed: exactly as ``str(Fraction)``
+# prints it, else x / den, correctly rounded so the float of p / q (complex(x / den) has imaginary +0.0)
+_INT_TEXTS = {Field.RATIONAL: lambda x, den: str(x) if den == 1 else (
+                  str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"),
+              Field.REAL: lambda x, den: repr(x / den),
+              Field.COMPLEX: lambda x, den: f"{x / den!r}+0.0i"}
+
+
 def format_scalar(x) -> str:
     """Text of one scalar: "p/q" (bare integers without the slash), ``repr`` of a
     float, "a+bi"; dispatched on its field through the table that
@@ -134,21 +143,17 @@ def parse_int_list(spec: str) -> list[int]:
 
 def _row_texts(M: DenseMatrix, field: Field):
     """The texts of each row in turn, in ``field``.  Held entries print after the constructor promotes
-    them, if they are in another field; integer rows (den, nums) print with no Fraction formed: exactly,
-    each entry over its gcd with den as ``str(Fraction)`` prints it, else each x / den, rounded as p / q."""
+    them, if they are in another field.  Integer rows (den, nums) print with no Fraction formed, each
+    distinct value of a row once: the table is keyed by the integers, so two with one float stay apart."""
     if M._entries is not None:
         M = M if field is M.field else DenseMatrix(M.rows, M.cols, M.entries, field)
         yield from (list(map(_FORMATTERS[field], M.row(i))) for i in range(M.rows))
         return
-    if field is not Field.RATIONAL:   # complex(x / den) has imaginary part +0.0
-        fmt = repr if field is Field.REAL else "{!r}+0.0i".format
-        yield from (list(map(fmt, map(den.__rtruediv__, nums))) for den, nums in M._ints)
-        return
+    text = _INT_TEXTS[field]
     try:
         for den, nums in M._ints:
-            yield (list(map(str, nums)) if den == 1 else
-                   [str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"
-                    for x in nums])
+            table = {x: text(x, den) for x in set(nums)}   # lives for this row only
+            yield list(map(table.__getitem__, nums))
     except ValueError as exc:
         raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from exc
 

@@ -77,15 +77,19 @@ _SCALAR_TYPE = {Field.RATIONAL: Fraction, Field.REAL: float, Field.COMPLEX: comp
 
 def _coerce_all(values, field: Field | None = None) -> tuple:
     """(field, values coerced into it), ``field`` by default the smallest holding the rationals and
-    every value.  Values all of the field's type come back as the same tuple; plain numbers go into
-    a floating field in one pass, a Fraction's float being numerator / denominator (what float()
-    computes), the rest value by value, so a refused value is the first."""
+    every value.  Values all of the field's type come back as the same tuple; bools, ints and Fractions
+    go into the rational field, and plain numbers into a floating field, in one pass, a Fraction's
+    float being numerator / denominator (float()'s), the rest value by value: a refused value is first."""
     values = tuple(values)
+    types = set(map(type, values))
+    rational = types <= {bool, int, Fraction}   # their join is the rational field
     if field is None:
-        field = join_fields(Field.RATIONAL, *map(field_of, values))
-    types, kind = set(map(type, values)), _SCALAR_TYPE[field]
+        field = Field.RATIONAL if rational else join_fields(Field.RATIONAL, *map(field_of, values))
+    kind = _SCALAR_TYPE[field]
     if types <= {kind}:
         return field, values
+    if field is Field.RATIONAL and rational:
+        return field, tuple([x if type(x) is Fraction else Fraction(x) for x in values])
     if field is Field.RATIONAL or not types <= {bool, int, Fraction, float, kind}:
         return field, tuple([coerce_scalar(x, field) for x in values])
     return field, tuple(map(kind, [x.numerator / x.denominator if type(x) is Fraction
@@ -135,11 +139,11 @@ class DenseMatrix:
     entries nums[j] / den, with den > 0 and gcd(den, *nums) = 1, so a zero
     row has den 1 and equal matrices have equal rows.  The exact kernels
     (products, ``mat_apply``, ``mat_inf_norm``, ``==``, ``approx_equal`` and
-    ``structure.py``) read and build only that form.  A matrix built from
-    entries gets its rows on the first such read; one built by a kernel forms
-    one ``Fraction`` per entry on the first read of ``entries``, indexing,
-    ``row``, ``column`` or hashing, and none for output in any field.  Both
-    forms are cached.
+    ``structure.py``) read and build only that form, as do the rational
+    ``identity`` and ``zeros``.  A matrix built from entries gets its rows
+    on the first such read; one built from rows forms one ``Fraction`` per
+    entry on the first read of ``entries``, indexing, ``row``, ``column``
+    or hashing, and none for output in any field.  Both forms are cached.
     """
 
     __slots__ = ("rows", "cols", "field", "_entries", "_ints")
@@ -190,11 +194,15 @@ class DenseMatrix:
 
     @classmethod
     def identity(cls, n: int, field: Field = Field.RATIONAL) -> "DenseMatrix":
+        if field is Field.RATIONAL and n >= 0:   # a negative size is refused below
+            return cls._from_ints(n, [(1, [0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)])
         one, zero = one_of(field), zero_of(field)
         return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)], field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: Field = Field.RATIONAL) -> "DenseMatrix":
+        if field is Field.RATIONAL and min(rows, cols) >= 0:
+            return cls._from_ints(cols, [(1, [0] * cols) for _ in range(rows)])
         return cls(rows, cols, [zero_of(field)] * (rows * cols), field)
 
     def __getitem__(self, ij):

@@ -112,7 +112,7 @@ def _integer_rows(rec: RecurrenceSpec, n: int) -> list:
 
     A, B, G are alpha, beta, gamma times L, the lcm of their denominators.
     Row i combines rows i-1 and i-2 over c = lcm(e_{i-1}, e_{i-2}), with
-    diagonal i L c and denominator A_{i-1} c, then is divided by gcd(e_i, *N_i).
+    diagonal i L c and denominator A_{i-1} c, then is divided by gcd(e_i, *N_i) unless that is 1.
     """
     L, abg = _integer_scaled(rec.alpha[:n] + rec.beta[:n] + rec.gamma[:n])
     A, B, G = abg[:n], abg[n:2 * n], abg[2 * n:]
@@ -120,16 +120,13 @@ def _integer_rows(rec: RecurrenceSpec, n: int) -> list:
     for i in range(1, n + 1):
         (N1, e1), (N2, e2) = rows[i - 1], rows[max(i - 2, 0)]
         c = math.lcm(e1, e2)
-        u, v = c // e1, c // e2 * G[i - 1]
-        N = [0] * (n + 2)
-        N[i] = i * L * c
-        for j in range(1, i):
-            # N1[0] = 0, so the A term vanishes at j = 1
-            acc = (B[j - 1] - B[i - 1]) * N1[j] + A[j - 2] * N1[j - 1] + G[j] * N1[j + 1]
-            N[j] = u * acc - v * N2[j]
+        u, v, b = c // e1, c // e2 * G[i - 1], B[i - 1]
+        # N1[0] = 0, so the A term vanishes at j = 1
+        N = [0, *[u * ((B[j - 1] - b) * N1[j] + A[j - 2] * N1[j - 1] + G[j] * N1[j + 1]) - v * N2[j]
+                  for j in range(1, i)], i * L * c, *[0] * (n + 1 - i)]
         e = A[i - 1] * c
         k = math.gcd(e, *N) if e > 0 else -math.gcd(e, *N)
-        rows.append(([x // k for x in N], e // k))
+        rows.append((N, e) if k == 1 else ([x // k for x in N], e // k))
     return rows
 
 
@@ -162,9 +159,9 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
     Column k holds the coefficients of phi_k' in phi_0 .. phi_n.  The
     entries are filled by a second-order recurrence in the coefficients
     of the multiplication-by-x rule; each entry costs O(1), so the whole
-    construction is O(n^2).  Floats run it one comprehension per row of
-    Q; rationals run it on integer rows, see ``_integer_rows``, and D keeps
-    them where every column is integer, else holds one Fraction per entry.
+    construction is O(n^2), one comprehension per row of Q.  Rationals
+    run it on integer rows, see ``_integer_rows``, and D keeps them where
+    every column is integer, else holds one Fraction per entry.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

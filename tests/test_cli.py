@@ -201,6 +201,30 @@ def test_row_held_text_is_the_per_entry_format_scalar_join(shape):
             assert (csv, text) == (matrix_to_csv(held, field), matrix_to_json(held, "b", field))
 
 
+def test_row_held_text_formats_each_distinct_value_of_a_row_once(monkeypatch):
+    # rows drawn from a few values, so most entries repeat; 2^60 and 2^60 + 1 have one float but two
+    # exact texts, so a table keyed by the quotient would print one of them wrongly
+    rng, big = random.Random(3002), 2 ** 60
+    for _ in range(60):
+        m, rows = rng.randint(2, 12), [(1, [big, big + 1, 0, big + 1])]
+        for _ in range(rng.randint(0, 5)):
+            den = rng.choice([1, 1, 3, 12, 35, 2 ** 70 + 1])
+            pool = [0, big, big + 1, -den, 2 * den, rng.randint(-40, 40), rng.randint(-10 ** 25, 10 ** 25)]
+            rows.append((den, [0] * m if rng.random() < 0.25 else [rng.choice(pool) for _ in range(m)]))
+        rows[0] = (1, (rows[0][1] * m)[:m])
+        for field in Field:
+            calls = []
+            text = polydiff.cli._INT_TEXTS[field]
+            monkeypatch.setitem(polydiff.cli._INT_TEXTS, field, lambda x, den: calls.append(x) or text(x, den))
+            M = DenseMatrix._from_ints(m, rows)
+            got = (matrix_to_csv(M, field), matrix_to_json(M, "b", field))
+            assert M._entries is None   # printing formed no Fraction
+            assert len(calls) == 2 * sum(len(set(nums)) for _, nums in M._ints)   # once a row per format
+            monkeypatch.undo()
+            held = DenseMatrix(M.rows, m, M.entries)
+            assert got == (matrix_to_csv(held, field), matrix_to_json(held, "b", field))
+
+
 def test_row_held_text_past_the_float_range_overflows_with_the_constructor_message(monkeypatch, capsys):
     rows = [(3, [1, 2 ** 1100 - 1]), (7, [2 ** 1030, 0])]
     for field in (Field.REAL, Field.COMPLEX):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,29 @@ def test_an_already_typed_tuple_comes_back_as_itself():
     assert type(core._coerce_all((0.5,), Field.COMPLEX)[1][0]) is complex
 
 
+def test_plain_rationals_go_into_the_rational_field_in_one_pass():
+    # bools, ints and Fractions alone take the one-pass path; it must read them as the former passes did
+    rng = random.Random(3003)
+    pool = [True, False, 0, -2 ** 70, 2 ** 70 + 1, 1, -7, Fraction(3, 4), Fraction(-5), Fraction(0),
+            Fraction(2 ** 80, 3)]
+    for _ in range(300):
+        vals = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        for field in (None, Field.RATIONAL):
+            want = _outcome(lambda: orc.coerce_all_by_passes(vals, field))
+            assert want[0] is Field.RATIONAL
+            assert _outcome(lambda: core._coerce_all(vals, field)) == want
+    fractions = (Fraction(1, 3), Fraction(-2), Fraction(0))
+    assert core._coerce_all(fractions)[1] is fractions
+    assert core._coerce_all(fractions, Field.RATIONAL)[1] is fractions
+    # a floating value leaves that path, and the first one refused is named
+    head = [True, 0, -2 ** 70, Fraction(1, 2)]
+    for tail, shown in (([0.5, 2j], "real value 0.5"), ([2j, 0.5], "complex value 2j"),
+                        ([-0.0], "real value -0.0")):
+        with pytest.raises(FieldError, match=f"cannot demote {re.escape(shown)} to rational"):
+            core._coerce_all(head + tail, Field.RATIONAL)
+        assert _outcome(lambda: orc.coerce_all_by_passes(head + tail, Field.RATIONAL))[0] is FieldError
+
+
 def _distinct_finite(rng, count):
     seen = {}
     for _ in range(count):
@@ -224,6 +248,28 @@ def test_matrix_construction_and_indexing():
 def test_from_rows_rejects_ragged_input():
     with pytest.raises(ValueError):
         DenseMatrix.from_rows([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_identity_and_zeros_equal_the_matrices_built_from_their_entries(field):
+    # rational ones are integer rows and form no Fraction until their entries are read
+    one, zero = core.one_of(field), zero_of(field)
+    cases = [(DenseMatrix.identity(n, field), n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+             for n in range(6)]
+    cases += [(DenseMatrix.zeros(r, c, field), r, c, [zero] * (r * c))
+              for r, c in ((0, 0), (0, 4), (3, 0), (1, 1), (2, 5), (5, 3))]
+    for M, r, c, values in cases:
+        want = DenseMatrix(r, c, values, field)
+        assert (M.rows, M.cols, M.field) == (r, c, field)
+        assert M == want and want == M
+        assert (M._entries is None) is (field is Field.RATIONAL)
+        assert [(type(x), repr(x)) for x in M.entries] == [(type(x), repr(x)) for x in want.entries]
+        assert hash(M) == hash(want)
+    # a negative size is refused as the constructor refuses it
+    for make, n in ((lambda: DenseMatrix.identity(-2, field), 4), (lambda: DenseMatrix.zeros(-1, 3, field), -3),
+                    (lambda: DenseMatrix.zeros(2, -1, field), -2)):
+        with pytest.raises(ValueError, match=f"need {n} entries, got 0"):
+            make()
 
 
 def test_matrix_field_inference_and_promotion():
