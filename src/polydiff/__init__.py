@@ -36,8 +36,10 @@ from .degree_graded import (
     diff_matrix_degree_graded,
     legendre_antideriv_matrix,
     legendre_basis,
+    legendre_diff_matrix,
     legendre_recurrence,
     monomial_basis,
+    monomial_diff_matrix,
     monomial_recurrence,
     newton_basis,
     newton_diff_matrix,

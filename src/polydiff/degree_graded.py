@@ -5,11 +5,11 @@ described here by the coefficients of its multiplication-by-x rule
 
     x phi_j = alpha_j phi_{j+1} + beta_j phi_j + gamma_j phi_{j-1},
 
-with every alpha_j nonzero.  The monomial, Chebyshev, Legendre, and
-Newton bases are all instances.  Differentiation matrices produced by
-this module are strictly upper triangular, and antidifferentiation
-companions for Chebyshev and Legendre zero out the arbitrary-constant
-slot (first row) by convention.
+with every alpha_j nonzero.  The monomial, Chebyshev, Legendre and Newton
+bases are instances; the first three build their (strictly upper
+triangular) matrices from closed forms, the others from the recurrence.
+Chebyshev and Legendre antidifferentiation companions zero out the
+arbitrary-constant slot (first row) by convention.
 """
 
 from __future__ import annotations
@@ -189,6 +189,20 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
         Q.append(row + [i / ai] + [zero] * (n + 1 - i))
     # column k of D is row k of Q without its column 0
     return DenseMatrix(n + 1, n + 1, chain.from_iterable(zip(*(q[1:] for q in Q))), rec.field)
+
+
+def monomial_diff_matrix(n: int) -> DenseMatrix:
+    """Monomial differentiation matrix from (x^k)' = k x^(k-1): k at row k - 1 of column k."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return DenseMatrix._from_ints(n + 1, [(1, ([0] * (r + 1) + [r + 1] + [0] * n)[:n + 1]) for r in range(n + 1)])
+
+
+def legendre_diff_matrix(n: int) -> DenseMatrix:
+    """Legendre differentiation matrix from P_k' = sum of (2r + 1) P_r over r < k, k - r odd."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return DenseMatrix._from_ints(n + 1, [(1, [0] * (r + 1) + ([2 * r + 1, 0] * n)[:n - r]) for r in range(n + 1)])
 
 
 def chebyshev_diff_matrix(n: int) -> DenseMatrix:

@@ -6,10 +6,10 @@ Each entry says what names an instance of the family (``arg``):
 - ``"nodes"``: a ``NodeSet``;
 - ``"recurrence"``: the pair (``RecurrenceSpec``, degree).
 
-and builds from that argument the differentiation matrix, the basis
-descriptor and, for Chebyshev and Legendre only, the
-antidifferentiation companion.  Every other family's companion is the
-structured generalized inverse of ``structure.pseudo_inverse``.
+and builds from that argument the differentiation matrix (monomial,
+Chebyshev and Legendre from closed forms), the basis descriptor and,
+for Chebyshev and Legendre only, the antidifferentiation companion.
+Every other family's companion is ``structure.pseudo_inverse``.
 
 Constructors are looked up in their module namespaces at call time, so
 a substitute installed there (a tracer, a deliberately corrupted
@@ -33,16 +33,14 @@ class Family(NamedTuple):
 
 FAMILIES = {
     "monomial": Family(
-        "degree",
-        lambda n: degree_graded.diff_matrix_degree_graded(degree_graded.monomial_recurrence(n), n),
+        "degree", lambda n: degree_graded.monomial_diff_matrix(n),
         lambda n: degree_graded.monomial_basis(n)),
     "chebyshev": Family(
         "degree", lambda n: degree_graded.chebyshev_diff_matrix(n),
         lambda n: degree_graded.chebyshev_basis(n),
         lambda n: degree_graded.chebyshev_antideriv_matrix(n)),
     "legendre": Family(
-        "degree",
-        lambda n: degree_graded.diff_matrix_degree_graded(degree_graded.legendre_recurrence(n), n),
+        "degree", lambda n: degree_graded.legendre_diff_matrix(n),
         lambda n: degree_graded.legendre_basis(n),
         lambda n: degree_graded.legendre_antideriv_matrix(n)),
     "newton": Family(

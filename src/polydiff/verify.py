@@ -148,12 +148,6 @@ def _nilpotent(D):
     return idx == D.rows, f"index {idx} at dimension {D.rows}"
 
 
-def _monomial_matrix(n):
-    """Degree-n monomial differentiation: j at row j - 1 of column j."""
-    return DenseMatrix.from_rows([[j if j == i + 1 else 0 for j in range(n + 1)]
-                                  for i in range(n + 1)])
-
-
 def _lagrange_reference(ns):
     """b_j / (b_i (t_i - t_j)) with b_k = 1 / prod_{j != k} (t_k - t_j),
     and the diagonal that makes every row sum to zero."""
@@ -279,19 +273,19 @@ def check_generalized_inverse():
 # draws its random instances only when it runs.
 _CHECKS = [
     ("monomial-explicit-vs-recurrence", "monomial",
-     lambda: _agrees("monomial", range(13), _monomial_matrix, "n <= 12")),
+     lambda: _agrees("monomial", range(13), lambda n: degree_graded.diff_matrix_degree_graded(
+         degree_graded.monomial_recurrence(n), n), "n <= 12")),
     ("chebyshev-explicit-vs-recurrence", "chebyshev",
      lambda: _agrees("chebyshev", range(13), lambda n: degree_graded.diff_matrix_degree_graded(
          degree_graded.chebyshev_recurrence(n), n), "n <= 12")),
     ("chebyshev-antideriv-inverts", "chebyshev", lambda: _antideriv_inverts("chebyshev", (3, 7, 12))),
     ("legendre-row-pattern", "legendre",
-     lambda: _matches("legendre", 12, [[2 * r + 1 if c > r and (c - r) % 2 else 0 for c in range(13)]
-                                       for r in range(13)],
-                      "row r holds 2r+1 on columns r+1, r+3, ...")),
+     lambda: _agrees("legendre", range(13), lambda n: degree_graded.diff_matrix_degree_graded(
+         degree_graded.legendre_recurrence(n), n), "row r holds 2r+1 on columns r+1, r+3, ...")),
     ("legendre-antideriv-inverts", "legendre", lambda: _antideriv_inverts("legendre", (3, 8, 12))),
     ("newton-equal-centers-monomial", "newton",
      lambda: _agrees("newton", [NodeSet([Fraction(5, 7)], [dim]) for dim in (1, 4, 9)],
-                     lambda ns: _monomial_matrix(ns.dimension - 1),
+                     lambda ns: degree_graded.monomial_diff_matrix(ns.dimension - 1),
                      "all-equal centers give the monomial matrix")),
     ("newton-conjugation-oracle", "newton",
      lambda: _matches_oracle("newton", _rational_sets(_rng(0), 4, 6), "4 random rational center sets")),

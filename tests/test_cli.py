@@ -225,6 +225,23 @@ def test_row_held_text_formats_each_distinct_value_of_a_row_once(monkeypatch):
             assert got == (matrix_to_csv(held, field), matrix_to_json(held, "b", field))
 
 
+@pytest.mark.parametrize("name", [name for name, family in FAMILIES.items() if family.arg == "degree"])
+def test_degree_families_hand_over_integer_rows_that_print_as_the_reference_does(name):
+    # a later change cannot send these matrices back through Fractions without failing here
+    family = FAMILIES[name]
+    for n in (0, 1, 7, 40):
+        M, basis = family.diff_matrix(n), family.basis(n)
+        assert M._entries is None, f"{name} degree {n} formed its Fractions"
+        if isinstance(basis, DegreeGradedBasis):
+            want = diff_matrix_degree_graded(basis.recurrence, n)
+        else:
+            want = DenseMatrix(n + 1, n + 1, family.diff_matrix(n).entries)
+        for field in Field:
+            assert (matrix_to_csv(M, field), matrix_to_json(M, name, field)) == (
+                matrix_to_csv(want, field), matrix_to_json(want, name, field)), f"{name} degree {n} {field}"
+        assert M._entries is None   # printing formed no Fraction
+
+
 def test_row_held_text_past_the_float_range_overflows_with_the_constructor_message(monkeypatch, capsys):
     rows = [(3, [1, 2 ** 1100 - 1]), (7, [2 ** 1030, 0])]
     for field in (Field.REAL, Field.COMPLEX):
@@ -817,6 +834,9 @@ def _identity(constructor):
     ("hermite", "diff_matrix_hermite", _identity, "hermite",
      {"hermite-reference-matrix", "hermite-confluency-one-is-lagrange",
       "hermite-constant-annihilation", "hermite-conjugation-oracle", "hermite-nilpotency-index"}),
+    ("degree_graded", "monomial_diff_matrix", _doubled, "monomial", {"monomial-explicit-vs-recurrence"}),
+    ("degree_graded", "legendre_diff_matrix", _doubled, "legendre",
+     {"legendre-row-pattern", "legendre-antideriv-inverts"}),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v if isinstance(v, str) else "")
 def test_verify_fails_exactly_the_checks_of_a_corrupted_constructor(
         monkeypatch, capsys, module, name, corrupt, basis, failed):

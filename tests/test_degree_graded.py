@@ -14,7 +14,9 @@ from polydiff.degree_graded import (
     chebyshev_recurrence,
     diff_matrix_degree_graded,
     legendre_antideriv_matrix,
+    legendre_diff_matrix,
     legendre_recurrence,
+    monomial_diff_matrix,
     monomial_recurrence,
     newton_basis,
     newton_diff_matrix,
@@ -338,6 +340,21 @@ def test_integer_instances_stay_integer_rows_and_the_others_hold_their_fractions
     for rec, n in ((monomial_recurrence(12), 12), (legendre_recurrence(12), 12),
                    (newton_recurrence([2, -1, 0, 5, 2]), 5), (RecurrenceSpec([1, -1, 1], [3, 0, 2]), 3)):
         assert diff_matrix_degree_graded(rec, n)._entries is None
+
+
+@pytest.mark.parametrize("closed_form,recurrence", [
+    (monomial_diff_matrix, monomial_recurrence), (legendre_diff_matrix, legendre_recurrence)],
+    ids=["monomial", "legendre"])
+def test_closed_forms_equal_the_recurrence_as_integer_rows_up_to_200(closed_form, recurrence):
+    for n in range(201):
+        D, want = closed_form(n), diff_matrix_degree_graded(recurrence(n), n)
+        assert (D.rows, D.cols) == (n + 1, n + 1)
+        assert D._int_rows() == want._int_rows(), f"n={n}"
+        assert D._entries is None, f"n={n}: entries formed before they were read"
+        for part in (type, repr):
+            assert list(map(part, D.entries)) == list(map(part, want.entries)), f"n={n}"
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        closed_form(-1)
 
 
 def test_float_recurrence_keeps_its_operations():
