@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import experiments, hermite, structure, verify
-from .core import DenseMatrix, Field, NodeSet, all_finite, field_of
+from .core import DenseMatrix, Field, NodeSet, SingularMatrixError, all_finite, field_of
 from .degree_graded import RecurrenceSpec
 from .families import FAMILIES
 
@@ -229,8 +229,10 @@ def cmd_matrix(args) -> int:
     else:
         M = family.diff_matrix(arg)
         if args.pinv:
-            V = structure.build_V(structure.monomial_images(family.basis(arg)))
-            M = structure.pseudo_inverse(M, V)
+            try:   # V = M diag(1/k!) is invertible for every basis: only floating point loses its rank
+                M = structure.pseudo_inverse(M, structure.build_V(structure.monomial_images(family.basis(arg))))
+            except SingularMatrixError:
+                raise ArithmeticError("the basis-change matrix V is singular in floating point") from None
     # a matrix holding entries was built in ``field``; integer rows print in it as x / den, always finite
     if M.field is not Field.RATIONAL:
         if not all_finite(M.field, M.entries):

@@ -12,7 +12,8 @@ confluencies s_0, s_1, ... the data vector is
 
     p(t_0), p'(t_0)/1!, ..., p^(s_0-1)(t_0)/(s_0-1)!,  p(t_1), ...
 
-so slot (i, j) holds the order-j Taylor coefficient of p about t_i.
+so slot (i, j) holds the order-j Taylor coefficient of p about t_i: for x^k
+it is C(k, j) t_i^(k-j), and column k of ``structure.monomial_images`` holds it.
 
 Weights
 -------
@@ -301,21 +302,11 @@ def hermite_eval(w: GenBaryWeights, data, zs) -> list:
     return _at_points(w, data, zs, lambda d, rest: _pole_sums(w, d, rest, times_w=True))
 
 
-def monomial_data(nodes, k: int) -> tuple:
-    """Layout vector of x^k: C(k, j) t_i^(k-j) in slot (i, j), zero for j > k.
-
-    The entries share the nodes' field, so floating nodes get floating
-    data even at k = 0.
-    """
-    nodes = as_node_set(nodes)
-    zero = zero_of(nodes.field)
-    return tuple(math.comb(k, j) * t ** (k - j) if j <= k else zero
-                 for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s))
-
-
 def constant_data(nodes) -> tuple:
-    """Layout vector of the constant 1: one at each node, zero derivatives."""
-    return monomial_data(nodes, 0)
+    """Layout vector of the constant 1, in the nodes' field: column 0 of ``structure.monomial_images``."""
+    nodes = as_node_set(nodes)
+    one, zero = one_of(nodes.field), zero_of(nodes.field)
+    return tuple(zero if j else one for s in nodes.confluencies for j in range(s))
 
 
 def _exact_row(L: int, T, series, confluencies, i: int) -> list:

@@ -8,9 +8,9 @@ basis.  From V one gets a structured generalized inverse
 D+ = V J^T V^(-1), which satisfies D D+ D = D and D+ D D+ = D+ but is
 not the Moore-Penrose pseudoinverse in general.
 
-The same data yields an independent oracle for any differentiation
-matrix: conjugate the (trivially correct) monomial matrix by the
-basis-change matrix M whose columns are the monomial images x^k.
+The same data yields an independent oracle for any differentiation matrix:
+conjugate the (trivially correct) monomial matrix by the basis-change matrix M
+of monomial images x^k, which ``monomial_images`` builds by each family's rule.
 The nilpotency index n + 1 is the longest Krylov chain D^k e_j over the
 basis vectors; for every basis here the chain from the last element has it.
 """
@@ -27,16 +27,38 @@ from .core import (
     Field,
     HermiteBasis,
     SingularMatrixError,
+    _integer_scaled,
     approx_equal,
     one_of,
     zero_of,
 )
-from .degree_graded import _monomial_rows
-from .hermite import monomial_data
+
+
+def _monomial_rows(rec, dim: int) -> list:
+    """Integer rows (den, nums) of the images x^0 .. x^(dim-1), column k of M being x^k.
+
+    Column k is integers N_k over e_k; column k+1 is x N_k by A, B, G over
+    e_k L, divided by its content.  Row i sits over the lcm of the e_k it uses.
+    """
+    n = dim - 1
+    L, abg = _integer_scaled(rec.alpha[:n] + rec.beta[:n] + rec.gamma[:n])
+    A, B, G = [0] + abg[:n], abg[n:2 * n] + [0], abg[2 * n + 1:3 * n] + [0, 0]
+    cols = [([1], 1)]
+    for _ in range(n):
+        N, e = cols[-1]
+        Z = [0, *N, 0, 0]   # entry j of x N: A_(j-1) N_(j-1) + B_j N_j + G_(j+1) N_(j+1)
+        X = [a * x + b * y + g * z for a, x, b, y, g, z in zip(A, Z, B, Z[1:], G, Z[2:])]
+        k = math.gcd(e * L, *X)
+        cols.append(([x // k for x in X], e * L // k))
+    rows = []
+    for i in range(dim):
+        den = math.lcm(*[e for N, e in cols[i:] if N[i]])
+        rows.append((den, [0] * i + [N[i] and N[i] * (den // e) for N, e in cols[i:]]))
+    return rows
 
 
 def monomial_images(basis) -> DenseMatrix:
-    """Matrix M whose column k holds the coefficients of x^k in the basis."""
+    """Matrix M whose column k holds the coefficients of x^k in the basis, by each family's own rule."""
     dim = basis.dimension
     if isinstance(basis, BernsteinBasis):   # C(i, k)/C(n, k) = perm(i, k) perm(n-k, i-k)/perm(n, i)
         n = basis.degree
@@ -53,17 +75,18 @@ def monomial_images(basis) -> DenseMatrix:
             Z = [zero, *cols[-1], zero]
             cols.append([zero + a * x + b * y + g * z
                          for a, x, b, y, g, z in zip(A, Z, B, Z[1:], G, Z[2:])])
+        return DenseMatrix(dim, dim, [c for row in zip(*cols) for c in row])
     elif isinstance(basis, HermiteBasis) and basis.nodes.field is Field.RATIONAL:
         # row (i, j) holds C(k, j) t_i^(k-j) = C(k, j) p^(k-j) q^(e-k) / q^e, t_i = p/q, e = dim-1-j
         nodes = basis.nodes
         return DenseMatrix._from_ints(dim, [(t.denominator ** (dim - 1 - j), [
             math.comb(k, j) * t.numerator ** (k - j) * t.denominator ** (dim - 1 - k) if k >= j else 0
             for k in range(dim)]) for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s)])
-    elif isinstance(basis, HermiteBasis):   # LagrangeBasis too: confluency 1
-        cols = [monomial_data(basis.nodes, k) for k in range(dim)]
-    else:
-        raise TypeError(f"unsupported basis: {basis!r}")
-    return DenseMatrix(dim, dim, [c for row in zip(*cols) for c in row])
+    elif isinstance(basis, HermiteBasis):   # LagrangeBasis too, at confluency 1: row (i, j) as above
+        nodes, zero = basis.nodes, zero_of(basis.nodes.field)
+        return DenseMatrix(dim, dim, [math.comb(k, j) * t ** (k - j) if k >= j else zero for t, s in
+                                      zip(nodes.nodes, nodes.confluencies) for j in range(s) for k in range(dim)])
+    raise TypeError(f"unsupported basis: {basis!r}")
 
 
 def build_V(M: DenseMatrix) -> DenseMatrix:
@@ -143,8 +166,7 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
         p = a[col][col]
         a[col] = [x / p for x in a[col]]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
+            if r != col and (f := a[r][col]) != 0:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return DenseMatrix.from_rows([row[n:] for row in a], M.field)
 

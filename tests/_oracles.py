@@ -224,6 +224,16 @@ def monomial_images_by_fractions(alpha, beta, gamma, dim):
     return [[c[i] if i < len(c) else zero for c in cols] for i in range(dim)]
 
 
+def hermite_image_columns_by_slots(nodes):
+    """Columns of the former Hermite and Lagrange monomial images M: column k is the layout
+    of x^k, C(k, j) t_i^(k-j) in slot (i, j) and the nodes' zero for j > k, one column at
+    a time in the nodes' field: the former ``hermite.monomial_data`` loop, step for step."""
+    zero = zero_of(nodes.field)
+    return [tuple(comb(k, j) * t ** (k - j) if j <= k else zero
+                  for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s))
+            for k in range(nodes.dimension)]
+
+
 def bernstein_images_by_fractions(n):
     """Rows of the former Bernstein monomial images M: column k holds x^k, entry i
     C(i, k) / C(n, k), one reduced Fraction per entry."""

@@ -59,6 +59,8 @@ from polydiff.structure import (
     verify_generalized_inverse,
 )
 
+import _oracles as orc
+
 
 # ---------------------------------------------------------------- scalars
 
@@ -475,6 +477,70 @@ def test_matrix_pinv_floating_warns(capsys):
     assert "floating point" in err
 
 
+def _float_pinv_instance(basis, rng):
+    """The flags of a seeded float instance of ``basis`` and the exact argument of the same
+    values, each float read as its Fraction: 2 to 6 nodes k/4 + e with |e| < 0.05, or 1 to 3
+    nodes k/2 + e at confluencies 1 to 3 for Hermite; recurrences of degree 1 to 5 with alpha
+    in +-[0.5, 2] and beta, gamma in [-1, 1]."""
+    if basis == "recurrence":
+        degree = rng.randint(1, 5)
+        abg = [[rng.choice((-1, 1)) * rng.uniform(0.5, 2) for _ in range(degree)],
+               *([rng.uniform(-1, 1) for _ in range(degree)] for _ in range(2))]
+        flags = [x for flag, c in zip(("--alpha", "--beta", "--gamma"), abg) for x in (flag, ",".join(map(repr, c)))]
+        return flags, (RecurrenceSpec(*([Fraction(x) for x in c] for c in abg)), degree)
+    hermite = basis == "hermite"
+    ts = [k / 4 + rng.uniform(-0.05, 0.05)
+          for k in rng.sample(range(-4, 5, 1 + hermite), rng.randint(1, 3) if hermite else rng.randint(2, 6))]
+    conf = [rng.randint(1, 3) if hermite else 1 for _ in ts]
+    flags = ["--nodes", ",".join(map(repr, ts))] + ["--confluency", ",".join(map(str, conf))] * hermite
+    return flags, NodeSet([Fraction(t) for t in ts], conf)
+
+
+# the worst relative row error of the printed float --pinv over seeds 0-49 of
+# ``_float_pinv_instance``, in units of u = 2^-53
+_PINV_MEASURED_WORST = {"newton": 14.4, "lagrange": 81.9, "hermite": 1757.9, "recurrence": 21.5}
+
+# dyadic instances of dimension 3 on which every float operation of --pinv is exact: (flags, exact argument)
+_PINV_EXACT_CASES = {
+    "newton": [(["--nodes", "0.5,-1,2"], NodeSet([Fraction(1, 2), -1, 2]))],
+    "lagrange": [(["--nodes", "0,1,2"], NodeSet([0, 1, 2])), (["--nodes=-1,1,3"], NodeSet([-1, 1, 3]))],
+    "hermite": [(["--nodes", "0.5", "--confluency", "3"], NodeSet([Fraction(1, 2)], [3])),
+                (["--nodes", "0,1", "--confluency", "2,1"], NodeSet([0, 1], [2, 1])),
+                (["--nodes=-0.5,1.5", "--confluency", "2,1"], NodeSet([Fraction(-1, 2), Fraction(3, 2)], [2, 1]))],
+    "recurrence": [
+        (["--alpha", "2,0.5", "--beta", "1,-0.25", "--gamma", "0,1.5"],
+         (RecurrenceSpec([2, Fraction(1, 2)], [1, Fraction(-1, 4)], [0, Fraction(3, 2)]), 2)),
+        (["--alpha", "1,-2", "--beta", "0.5,1", "--gamma", "3,-0.5"],
+         (RecurrenceSpec([1, -2], [Fraction(1, 2), 1], [3, Fraction(-1, 2)]), 2))],
+}
+
+
+def _float_pinv_row_errors(capsys, basis, flags, exact):
+    """Relative row errors of the printed float --pinv against the exact pseudo-inverse of
+    ``exact``, the same inputs as Fractions, through ``orc.row_forward_errors``."""
+    code, out, _ = run_cli(capsys, ["matrix", "--basis", basis, *flags, "--field", "real", "--pinv"])
+    assert code == 0, flags
+    family = FAMILIES[basis]
+    E = _structured_pinv(family.diff_matrix(exact), family.basis(exact))
+    return orc.row_forward_errors([list(map(float, line.split(","))) for line in out.splitlines()],
+                                  E._int_rows())
+
+
+@pytest.mark.parametrize("basis", list(_PINV_MEASURED_WORST))
+def test_float_pinv_forward_error_against_the_exact_pseudo_inverse(capsys, basis):
+    """Float --pinv runs the float images, V, ``invert_matrix`` and product, which no exact
+    request reaches.  Seeded instances are held to ten times the worst error measured on them
+    (``_PINV_MEASURED_WORST``; over seeds 0-999 the worst read 14.4 u for Newton, 225.3 u for
+    Lagrange, 15485 u for Hermite, where confluent nodes make V ill-conditioned, and 39.7 u for
+    recurrences), and the dyadic cases, whose every float operation is exact, to 0."""
+    for seed in range(50):
+        flags, exact = _float_pinv_instance(basis, random.Random(seed))
+        worst = max(_float_pinv_row_errors(capsys, basis, flags, exact))
+        assert worst <= 10 * _PINV_MEASURED_WORST[basis] / 2 ** 53, (seed, flags, worst * 2 ** 53)
+    for flags, exact in _PINV_EXACT_CASES[basis]:
+        assert _float_pinv_row_errors(capsys, basis, flags, exact) == [0.0] * 3, flags
+
+
 def test_matrix_one_center_newton_reports_requested_field(capsys):
     # one center leaves the recurrence empty, so only the requested field
     # can say what the 1x1 zero matrix is made of
@@ -651,6 +717,10 @@ def test_the_first_instance_flag_is_required_and_strays_are_named_in_parser_orde
         2, "", f"polydiff: error: --{strays[0]} does not apply to --basis {basis}\n")
 
 
+# x^2 = 1e-600 phi_2 underflows, so the float V = M diag(1/k!) has a zero column; the exact V is invertible
+_V_UNDERFLOWS = ["matrix", "--basis", "recurrence", "--alpha", "1e-300,1e-300", "--field", "real", "--pinv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "nan,nan,1"],
     ["matrix", "--basis", "lagrange", "--field", "real", "--nodes", "0,inf"],
@@ -672,6 +742,8 @@ def test_the_first_instance_flag_is_required_and_strays_are_named_in_parser_orde
     ["weights", "--nodes", "0,1e-2200,1"],
     # an exact node written with more digits than Python turns into an integer
     ["weights", "--nodes", "0,1" + "0" * 4400],
+    # a float basis-change matrix that loses its rank
+    _V_UNDERFLOWS,
 ])
 def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -688,6 +760,9 @@ def test_float_breakdown_exits_2_without_traceback(capsys, argv):
     limit = sys.get_int_max_str_digits()
     if any(len(v) > limit for v in values):
         assert f"more than {limit} digits" in err
+    # a float V that loses its rank is floating-point breakdown, not a singular matrix
+    assert (err == "polydiff: error: arithmetic failure: the basis-change matrix V is singular "
+                   "in floating point\n") == (argv == _V_UNDERFLOWS)
 
 
 @pytest.mark.parametrize("which, n, s, why", [

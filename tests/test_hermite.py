@@ -19,11 +19,10 @@ from polydiff.hermite import (
     diff_matrix_hermite,
     gen_bary_weights,
     hermite_eval,
-    monomial_data,
     node_polynomial_value,
 )
 from polydiff.lagrange import diff_matrix_lagrange
-from polydiff.structure import conjugation_oracle, nilpotency_index
+from polydiff.structure import conjugation_oracle, monomial_images, nilpotency_index
 
 import _oracles as orc
 
@@ -165,19 +164,22 @@ def test_constant_data_layout():
     assert len(d) == 9
 
 
-def test_monomial_data_is_the_layout_of_powers():
+def test_image_columns_are_the_layout_of_powers():
+    # column k of the monomial images in the Hermite basis is the layout of x^k
     rng = random.Random(8)
     for _ in range(20):
         ns = random_confluent_nodes(rng, max_dim=8)
-        for k in range(ns.dimension + 2):
-            d = monomial_data(ns, k)
+        M = monomial_images(HermiteBasis(ns))
+        for k in range(ns.dimension):
+            d = M.column(k)
             assert d == tuple(layout_data([0] * k + [1], ns)), (ns, k)
             assert all(type(e) is Fraction for e in d)
-    assert monomial_data(REFERENCE_NODES, 0) == constant_data(REFERENCE_NODES)
+    assert monomial_images(HermiteBasis(REFERENCE_NODES)).column(0) == constant_data(REFERENCE_NODES)
     for nodes, kind in (([-1.5, 0.25, 2.0], float), ([1j, -0.5 + 2j, 3 + 0j], complex)):
         ns = NodeSet(nodes, [3, 1, 2])
-        for k in range(ns.dimension + 2):
-            d = monomial_data(ns, k)
+        M = monomial_images(HermiteBasis(ns))
+        for k in range(ns.dimension):
+            d = M.column(k)
             assert all(type(e) is kind for e in d), (nodes, k)
             assert d == pytest.approx(layout_data([0] * k + [1], ns), rel=1e-12)
 

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses
-or defines a function, class or method that nothing refers to, and
-every name the benchmark traces exists.
+or defines a function, class or method that nothing refers to, every
+name the benchmark traces exists, and ``structure.py``, which holds the
+monomial images of every family, imports from no package module but
+``core``.
 
 ``__init__.py`` is exempt from both checks, since its imports are the
 package's exports; for the same reason a re-export there is not a
@@ -107,3 +109,30 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     tracing = importlib.import_module("tracing")
     mods = {name: importlib.import_module(f"polydiff.{name}") for name in workloads.MODULE_NAMES}
     assert len(tracing.layer_targets(mods)) >= len(tracing.LAYERS)
+
+
+def package_imports(source: str) -> list[str]:
+    """The package modules a module imports from, relative or as ``polydiff.<name>``, sorted."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "polydiff"):
+            module = (node.module or "").removeprefix("polydiff").lstrip(".")
+            # "from . import a, b" and "from polydiff import a, b" name the modules themselves
+            out.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.removeprefix("polydiff.") for alias in node.names
+                       if alias.name.startswith("polydiff."))
+    return sorted(out)
+
+
+def test_structure_imports_only_core():
+    assert package_imports((PACKAGE / "structure.py").read_text()) == ["core"]
+
+
+def test_checker_lists_package_imports():
+    source = ("from __future__ import annotations\nimport math\nfrom . import hermite, series\n"
+              "from .core import Field\nfrom .degree_graded import _monomial_rows\nimport polydiff.lagrange\n"
+              "from polydiff.bernstein import diff_matrix_bernstein\nfrom polydiff import verify\n"
+              "from fractions import Fraction\n")
+    assert package_imports(source) == ["bernstein", "core", "degree_graded", "hermite", "lagrange", "series",
+                                       "verify"]
