@@ -9,13 +9,12 @@ growth easy to inspect exactly.
 
 from __future__ import annotations
 
-from .core import DenseMatrix, mat_inf_norm, mat_power
+from .core import DenseMatrix, _degree, mat_inf_norm, mat_power
 
 
 def diff_matrix_bernstein(n: int) -> DenseMatrix:
     """Tridiagonal differentiation matrix for the degree-n Bernstein basis."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n)
     # row i of a matrix padded with one zero column on each side
     return DenseMatrix._from_ints(n + 1, [(1, ([0] * i + [-i, 2 * i - n, n - i] + [0] * (n - i))[1:-1])
                                           for i in range(n + 1)])

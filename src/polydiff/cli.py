@@ -188,10 +188,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_node_set(args, field: Field) -> NodeSet:
     nodes = parse_scalar_list(args.nodes, field)
-    conf = parse_int_list(args.confluency) if args.confluency is not None else None
-    if conf is not None and len(conf) != len(nodes):
-        raise UsageError(f"{len(nodes)} nodes but {len(conf)} confluencies")
-    return NodeSet(nodes, conf)
+    return NodeSet(nodes, parse_int_list(args.confluency) if args.confluency is not None else None)
 
 
 # the flags that name an instance, per ``Family.arg``; the first is required

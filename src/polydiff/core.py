@@ -138,12 +138,12 @@ class DenseMatrix:
     A rational matrix is also held as integer rows: row i is (den, nums),
     entries nums[j] / den, with den > 0 and gcd(den, *nums) = 1, so a zero
     row has den 1 and equal matrices have equal rows.  The exact kernels
-    (products, ``mat_apply``, ``mat_inf_norm``, ``==``, ``approx_equal`` and
-    ``structure.py``) read and build only that form, as do the rational
-    ``identity`` and ``zeros``.  A matrix built from entries gets its rows
-    on the first such read; one built from rows forms one ``Fraction`` per
-    entry on the first read of ``entries``, indexing, ``row``, ``column``
-    or hashing, and none for output in any field.  Both forms are cached.
+    (products, ``mat_apply``, ``mat_inf_norm``, ``==`` and ``structure.py``)
+    read and build only that form, as do the rational ``identity`` and
+    ``zeros``.  A matrix built from entries gets its rows on the first such
+    read; one built from rows forms one ``Fraction`` per entry on the first
+    read of ``entries``, indexing, ``row``, ``column`` or hashing, and none
+    for output in any field.  Both forms are cached.
     """
 
     __slots__ = ("rows", "cols", "field", "_entries", "_ints")
@@ -265,9 +265,9 @@ class DenseMatrix:
 class NodeSet:
     """Distinct finite interpolation nodes with per-node confluencies.
 
-    A node with confluency s carries function data and the first s - 1
-    scaled derivatives.  Confluency 1 everywhere is plain interpolation.
-    ``offsets[i]`` is the flat index of node i's first data slot.
+    It states the instance rules, read by every constructor and the CLI: distinct finite nodes,
+    one confluency s >= 1 each, a node carrying function data and the first s - 1 scaled derivatives.
+    Confluency 1 everywhere is plain interpolation.  ``offsets[i]`` is node i's first flat data slot.
     """
 
     __slots__ = ("nodes", "confluencies", "field", "offsets", "dimension")
@@ -280,7 +280,7 @@ class NodeSet:
             confluencies = (1,) * len(nodes)
         confluencies = tuple(map(index, confluencies))
         if len(confluencies) != len(nodes):
-            raise ValueError("one confluency per node required")
+            raise ValueError(f"{len(nodes)} nodes but {len(confluencies)} confluencies")
         if any(s < 1 for s in confluencies):
             raise ValueError("confluencies must be at least 1")
         field, nodes = _coerce_all(nodes)
@@ -331,17 +331,24 @@ def as_node_set(nodes) -> NodeSet:
     return nodes if isinstance(nodes, NodeSet) else NodeSet(nodes)
 
 
+def _degree(n) -> int:
+    """The degree of an instance, by the one rule for every degree: an integer, at least 0."""
+    n = index(n)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return n
+
+
 class DegreeGradedBasis:
-    """Basis with deg(phi_k) = k, described by its x-multiplication recurrence."""
+    """Basis with deg(phi_k) = k, described by its x-multiplication recurrence.  It states the instance
+    rules, read by every constructor and the CLI: a ``_degree`` n and at least n recurrence terms."""
 
     __slots__ = ("recurrence", "degree", "name")
 
     def __init__(self, recurrence, degree: int, name: str = "degree-graded"):
-        self.degree = index(degree)
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        self.degree = _degree(degree)
         if len(recurrence) < self.degree:
-            raise ValueError(f"recurrence too short for degree {self.degree}")
+            raise ValueError(f"degree {self.degree} needs {self.degree} recurrence terms, got {len(recurrence)}")
         self.recurrence = recurrence
         self.name = name
 
@@ -370,25 +377,23 @@ class HermiteBasis:
 
 
 class LagrangeBasis(HermiteBasis):
-    """Cardinal-function basis on simple nodes: the confluency-1 Hermite basis."""
+    """Cardinal-function basis on simple nodes, the confluency-1 Hermite basis; it states that instance rule."""
 
     __slots__ = ()
 
     def __init__(self, nodes):
         super().__init__(nodes)
         if not self.nodes.is_simple:
-            raise ValueError("Lagrange basis requires confluency 1 everywhere")
+            raise ValueError("barycentric weights need simple nodes; see gen_bary_weights")
 
 
 class BernsteinBasis:
-    """Bernstein basis of a fixed degree on [0, 1]."""
+    """Bernstein basis of a fixed degree on [0, 1].  It states the instance rule: a ``_degree``."""
 
     __slots__ = ("degree",)
 
     def __init__(self, degree: int):
-        self.degree = index(degree)
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        self.degree = _degree(degree)
 
     @property
     def dimension(self) -> int:
@@ -456,11 +461,9 @@ def mat_power(M: DenseMatrix, k: int) -> DenseMatrix:
 def approx_equal(a: DenseMatrix, b: DenseMatrix, tol: float = 1e-10) -> bool:
     """Entrywise |a - b| <= tol * max(1, largest magnitude on either side).
 
-    Two rational matrices compare exactly, whatever ``tol`` is.
+    Two rational matrices compare exactly, whatever ``tol`` is, as ``==`` does.
     """
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        return False
-    if a.field is b.field is Field.RATIONAL:
-        return a._int_rows() == b._int_rows()
+    if (a.rows, a.cols) != (b.rows, b.cols) or a.field is b.field is Field.RATIONAL:
+        return a == b
     scale = max([1.0] + [abs(x) for x in a.entries] + [abs(y) for y in b.entries])
     return all(abs(x - y) <= tol * scale for x, y in zip(a.entries, b.entries))

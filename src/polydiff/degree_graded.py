@@ -24,6 +24,7 @@ from .core import (
     Field,
     NodeSet,
     _coerce_all,
+    _degree,
     _integer_scaled,
     all_finite,
     zero_of,
@@ -88,15 +89,15 @@ def newton_recurrence(points) -> RecurrenceSpec:
 
 
 def monomial_basis(n: int):
-    return DegreeGradedBasis(monomial_recurrence(n), n, name="monomial")
+    return DegreeGradedBasis(monomial_recurrence(_degree(n)), n, name="monomial")
 
 
 def chebyshev_basis(n: int):
-    return DegreeGradedBasis(chebyshev_recurrence(n), n, name="chebyshev")
+    return DegreeGradedBasis(chebyshev_recurrence(_degree(n)), n, name="chebyshev")
 
 
 def legendre_basis(n: int):
-    return DegreeGradedBasis(legendre_recurrence(n), n, name="legendre")
+    return DegreeGradedBasis(legendre_recurrence(_degree(n)), n, name="legendre")
 
 
 def newton_basis(nodes):
@@ -140,10 +141,7 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
     run it on integer rows, see ``_integer_rows``, and D keeps them where
     every column is integer, else holds one Fraction per entry.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if len(rec) < n:
-        raise ValueError(f"degree {n} needs {n} recurrence terms, got {len(rec)}")
+    n = DegreeGradedBasis(rec, n).degree
     if rec.field is Field.RATIONAL:
         zero, rows = Fraction(0), _integer_rows(rec, n)
         if all(e == 1 for _, e in rows):   # row r of D holds N_k[r + 1] for k > r
@@ -170,15 +168,13 @@ def diff_matrix_degree_graded(rec: RecurrenceSpec, n: int) -> DenseMatrix:
 
 def monomial_diff_matrix(n: int) -> DenseMatrix:
     """Monomial differentiation matrix from (x^k)' = k x^(k-1): k at row k - 1 of column k."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n)
     return DenseMatrix._from_ints(n + 1, [(1, ([0] * (r + 1) + [r + 1] + [0] * n)[:n + 1]) for r in range(n + 1)])
 
 
 def legendre_diff_matrix(n: int) -> DenseMatrix:
     """Legendre differentiation matrix from P_k' = sum of (2r + 1) P_r over r < k, k - r odd."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n)
     return DenseMatrix._from_ints(n + 1, [(1, [0] * (r + 1) + ([2 * r + 1, 0] * n)[:n - r]) for r in range(n + 1)])
 
 
@@ -188,8 +184,7 @@ def chebyshev_diff_matrix(n: int) -> DenseMatrix:
     T_k' spreads 2k over T_{k-1}, T_{k-3}, ..., except that the T_0 slot
     receives k (odd k) or nothing (even k).
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n)
     return DenseMatrix._from_ints(n + 1, [(1, [(2 * k if r else k) if k > r and (k - r) % 2 else 0
                                               for k in range(n + 1)]) for r in range(n + 1)])
 
@@ -203,8 +198,7 @@ def chebyshev_antideriv_matrix(n: int) -> DenseMatrix:
     gives T_{k+1} / (2(k+1)) - T_{k-1} / (2(k-1)) for k >= 2, T_2 / 4
     for k = 1, and T_1 for k = 0; T_{n+1}, outside the space, is dropped.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n)
     # row r >= 1 over 2r: 1 in column r - 1 (2 at r = 1, from T_0) and -1 in column r + 1
     return DenseMatrix._from_ints(n + 1, [(1, [0] * (n + 1))] + [
         (2 * r, ([0] * (r - 1) + [1 + (r == 1), 0, -1] + [0] * n)[:n + 1]) for r in range(1, n + 1)])
@@ -216,8 +210,7 @@ def legendre_antideriv_matrix(n: int) -> DenseMatrix:
     Integrating P_k gives (P_{k+1} - P_{k-1}) / (2k + 1), with P_{n+1} dropped;
     the P_0 slot of the output (the free constant) is zeroed by convention.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n)
     # row r >= 1 over (2r - 1)(2r + 3): 2r + 3 in column r - 1 and 1 - 2r in column r + 1
     return DenseMatrix._from_ints(n + 1, [(1, [0] * (n + 1))] + [((2 * r - 1) * (2 * r + 3), (
         [0] * (r - 1) + [2 * r + 3, 0, 1 - 2 * r] + [0] * n)[:n + 1]) for r in range(1, n + 1)])

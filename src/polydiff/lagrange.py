@@ -2,8 +2,8 @@
 
 Simple nodes are confluent nodes with confluency 1, so the weights, the
 first barycentric form and the matrix come from the core in
-``hermite.py``.  This module adds the check that the nodes are simple
-and the second barycentric form.  In floating point it also rewrites
+``hermite.py``, on nodes that ``LagrangeBasis`` finds simple.  This
+module adds the second barycentric form.  In floating point it also rewrites
 the diagonal of the core's matrix in place with the negative sum.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DenseMatrix, Field, NodeSet, as_node_set, zero_of
+from .core import DenseMatrix, Field, LagrangeBasis, zero_of
 from .hermite import (
     GenBaryWeights,
     _at_points,
@@ -23,23 +23,16 @@ from .hermite import (
 )
 
 
-def _simple_nodes(nodes) -> NodeSet:
-    nodes = as_node_set(nodes)
-    if not nodes.is_simple:
-        raise ValueError("barycentric weights need simple nodes; see gen_bary_weights")
-    return nodes
-
-
 def bary_weights(nodes) -> GenBaryWeights:
     """Weights beta_k = prod_{j != k} (t_k - t_j)^(-1), stored as weights[k][0]."""
-    return gen_bary_weights(_simple_nodes(nodes))
+    return gen_bary_weights(LagrangeBasis(nodes).nodes)
 
 
 def eval_first_form(w: GenBaryWeights, values, zs) -> list:
     """First barycentric form w(z) * sum beta_k rho_k / (z - t_k) at every z in zs;
     a point that hits a node returns the stored value for that node.  Far out the
     value can be nan, as ``hermite_eval`` says: w(z) overflows while the sum cancels."""
-    _simple_nodes(w.nodes)
+    LagrangeBasis(w.nodes)
     return hermite_eval(w, values, zs)
 
 
@@ -47,7 +40,7 @@ def eval_second_form(w: GenBaryWeights, values, zs) -> list:
     """Second barycentric form at every z in zs: the pole sum over the values divided by
     the pole sum over ones, w(z) cancelling; a bad count or a node hit is the first form's.
     Far out, where the pole sum over ones is 0.0, the value is nan, as the first form gives."""
-    _simple_nodes(w.nodes)
+    LagrangeBasis(w.nodes)
     return _at_points(w, values, zs, lambda v, rest: [
         a / b if b else a * math.nan
         for a, b in zip(_pole_sums(w, v, rest), _pole_sums(w, constant_data(w.nodes), rest))])
@@ -66,7 +59,7 @@ def diff_matrix_lagrange(nodes) -> DenseMatrix:
     large constant part.  Exact rows sum to zero already and are returned
     as the core built them.  Construction is O(n^2).
     """
-    D = diff_matrix_hermite(_simple_nodes(nodes))
+    D = diff_matrix_hermite(LagrangeBasis(nodes).nodes)
     if D.field is Field.RATIONAL:
         return D
     n, zero, entries = D.rows, zero_of(D.field), list(D.entries)

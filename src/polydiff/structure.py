@@ -84,8 +84,14 @@ def monomial_images(basis) -> DenseMatrix:
             for k in range(dim)]) for t, s in zip(nodes.nodes, nodes.confluencies) for j in range(s)])
     elif isinstance(basis, HermiteBasis):   # LagrangeBasis too, at confluency 1: row (i, j) as above
         nodes, zero = basis.nodes, zero_of(basis.nodes.field)
-        return DenseMatrix(dim, dim, [math.comb(k, j) * t ** (k - j) if k >= j else zero for t, s in
-                                      zip(nodes.nodes, nodes.confluencies) for j in range(s) for k in range(dim)])
+        try:
+            powers = [[t ** e for e in range(dim)] for t in nodes.nodes]
+        except OverflowError:   # if some t^e overflows, the largest |t| does at e = dim - 1: name that
+            t = max(nodes.nodes, key=abs)
+            raise OverflowError(f"x^{dim - 1} at node t_{nodes.nodes.index(t)} = {t!r} is outside the "
+                                "floating-point range") from None
+        return DenseMatrix(dim, dim, [math.comb(k, j) * p[k - j] if k >= j else zero for p, s in
+                                      zip(powers, nodes.confluencies) for j in range(s) for k in range(dim)])
     raise TypeError(f"unsupported basis: {basis!r}")
 
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from polydiff import core
+from polydiff import degree_graded as dg
+from polydiff import lagrange as lagrange_module
 from polydiff.core import (
     BernsteinBasis,
     DegreeGradedBasis,
@@ -29,6 +31,8 @@ from polydiff.core import (
 )
 from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.degree_graded import RecurrenceSpec, monomial_recurrence, newton_recurrence
+from polydiff.families import FAMILIES
+from polydiff.hermite import gen_bary_weights
 from polydiff.structure import nilpotency_index
 
 import _oracles as orc
@@ -660,6 +664,73 @@ def test_basis_descriptors():
         LagrangeBasis(NodeSet([0, 1], [2, 1]))
     with pytest.raises(ValueError):
         BernsteinBasis(-1)
+
+
+# ---------------------------------------------------------------- instance rules
+
+_REC2 = RecurrenceSpec([1, 2])
+
+# each rule: (a refused instance, the error it raises, the nearest accepted instance)
+_RULES = {
+    "degree-negative": (-1, ValueError("degree must be nonnegative"), 0),
+    "degree-float": (2.0, TypeError("'float' object cannot be interpreted as an integer"), 2),
+    "recurrence-short": ((_REC2, 5), ValueError("degree 5 needs 5 recurrence terms, got 2"), (_REC2, 2)),
+    "lagrange-confluent": (NodeSet([1, 2], [2, 1]),
+                           ValueError("barycentric weights need simple nodes; see gen_bary_weights"),
+                           NodeSet([1, 2])),
+    "node-count": (([0, 1], [1, 2, 3]), ValueError("2 nodes but 3 confluencies"), ([0, 1], [1, 2])),
+}
+
+
+def _rule_entry_points():
+    """A (rule, entry point) param, id'd by both names, for every descriptor, constructor and family entry
+    that reads each rule: the degree's, the recurrence length's, Lagrange's simple nodes and the node count."""
+    degree = {
+        "DegreeGradedBasis": lambda n: DegreeGradedBasis(monomial_recurrence(3), n),
+        "BernsteinBasis": BernsteinBasis,
+        "diff_matrix_degree_graded": lambda n: dg.diff_matrix_degree_graded(monomial_recurrence(3), n),
+        "diff_matrix_bernstein": diff_matrix_bernstein,
+        **{f.__name__: f for f in (dg.monomial_diff_matrix, dg.chebyshev_diff_matrix, dg.legendre_diff_matrix,
+                                   dg.chebyshev_antideriv_matrix, dg.legendre_antideriv_matrix,
+                                   dg.monomial_basis, dg.chebyshev_basis, dg.legendre_basis)},
+        **{f"FAMILIES[{name!r}].{part}": getattr(fam, part) for name, fam in FAMILIES.items()
+           if fam.arg == "degree" for part in ("diff_matrix", "basis", "antideriv") if getattr(fam, part)},
+        "FAMILIES['recurrence'].diff_matrix":
+            lambda n: FAMILIES["recurrence"].diff_matrix((monomial_recurrence(3), n)),
+        "FAMILIES['recurrence'].basis": lambda n: FAMILIES["recurrence"].basis((monomial_recurrence(3), n)),
+    }
+    recurrence = {
+        "DegreeGradedBasis": lambda rn: DegreeGradedBasis(*rn),
+        "diff_matrix_degree_graded": lambda rn: dg.diff_matrix_degree_graded(*rn),
+        **{f"FAMILIES['recurrence'].{part}": getattr(FAMILIES["recurrence"], part)
+           for part in ("diff_matrix", "basis")},
+    }
+    lagrange = {
+        "LagrangeBasis": LagrangeBasis,
+        "bary_weights": lagrange_module.bary_weights,
+        "diff_matrix_lagrange": lagrange_module.diff_matrix_lagrange,
+        "eval_first_form": lambda ns: lagrange_module.eval_first_form(
+            gen_bary_weights(ns), [1] * ns.dimension, [Fraction(1, 3)]),
+        "eval_second_form": lambda ns: lagrange_module.eval_second_form(
+            gen_bary_weights(ns), [1] * ns.dimension, [Fraction(1, 3)]),
+        **{f"FAMILIES['lagrange'].{part}": getattr(FAMILIES["lagrange"], part) for part in ("diff_matrix", "basis")},
+    }
+    count = {"NodeSet": lambda nc: NodeSet(*nc)}
+    for rules, entries in ((("degree-negative", "degree-float"), degree), (("recurrence-short",), recurrence),
+                           (("lagrange-confluent",), lagrange), (("node-count",), count)):
+        for rule in rules:
+            for name, entry in entries.items():
+                yield pytest.param(rule, entry, id=f"{rule}-{name}")
+
+
+@pytest.mark.parametrize("rule, entry", _rule_entry_points())
+def test_every_entry_point_refuses_by_the_rule_its_descriptor_states(rule, entry):
+    # the same error type and text from every entry point, and the nearest valid instance accepted
+    bad, error, good = _RULES[rule]
+    with pytest.raises(type(error)) as exc:
+        entry(bad)
+    assert type(exc.value) is type(error) and str(exc.value) == str(error)
+    entry(good)
 
 
 # ---------------------------------------------------------------- approx
