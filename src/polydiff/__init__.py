@@ -17,7 +17,6 @@ from .core import (
     LagrangeBasis,
     NodeSet,
     SingularMatrixError,
-    approx_equal,
     as_node_set,
     coerce_scalar,
     field_of,
@@ -57,7 +56,6 @@ from .hermite import (
     diff_matrix_hermite,
     gen_bary_weights,
     hermite_eval,
-    node_polynomial_value,
 )
 from .bernstein import (
     bernstein_norm_table,

@@ -457,13 +457,3 @@ def mat_power(M: DenseMatrix, k: int) -> DenseMatrix:
             M = M * M
     return out
 
-
-def approx_equal(a: DenseMatrix, b: DenseMatrix, tol: float = 1e-10) -> bool:
-    """Entrywise |a - b| <= tol * max(1, largest magnitude on either side).
-
-    Two rational matrices compare exactly, whatever ``tol`` is, as ``==`` does.
-    """
-    if (a.rows, a.cols) != (b.rows, b.cols) or a.field is b.field is Field.RATIONAL:
-        return a == b
-    scale = max([1.0] + [abs(x) for x in a.entries] + [abs(y) for y in b.entries])
-    return all(abs(x - y) <= tol * scale for x, y in zip(a.entries, b.entries))

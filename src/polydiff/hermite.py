@@ -28,12 +28,11 @@ about each node, which keeps the whole computation local and exact over
 rationals.  At confluency 1 they are the barycentric weights
 1 / prod_{m != i} (t_i - t_m).
 
-``hermite_eval`` and ``node_polynomial_value`` take any iterable of points and
-return a list, doing each point's float operations of a point-by-point loop, in
-order; ``hermite_eval`` in one compiled loop over the points per run of eight nodes,
-which multiplies each node's factors into w(z) and adds its share to the pole sum
-(see ``_pole_sums`` and ``_chunk_pass``).  A point that hits a node gets its stored
-value, one that overflows next to a node its Taylor polynomial (see ``_at_points``).
+``hermite_eval`` takes any iterable of points and returns a list, doing each point's float
+operations of a point-by-point loop, in order, in one compiled loop over the points per run of
+eight nodes, which multiplies each node's factors into w(z) and adds its share to the pole sum
+(see ``_pole_sums`` and ``_chunk_pass``).  A point that hits a node gets its stored value, one
+that overflows next to a node its Taylor polynomial (see ``_at_points``).
 Construction runs compiled loops too, each float with the operations of an
 entry-by-entry loop, in order: one product loop per node for the g_i
 (``_series_pass``) and one pass over the rows of D per run of eight column
@@ -70,16 +69,6 @@ class GenBaryWeights(NamedTuple):
 
     nodes: NodeSet
     weights: tuple
-
-
-def node_polynomial_value(nodes, zs) -> list:
-    """w(z) = prod (z - t_k)^(s_k) at every z in zs, one factor at a time, left to right."""
-    nodes, zs, out = as_node_set(nodes), list(zs), None
-    for t, s in zip(nodes.nodes, nodes.confluencies):
-        diffs = [z - t for z in zs]
-        for _ in range(s):
-            out = diffs if out is None else list(map(mul, out, diffs))
-    return out
 
 
 def _local_series(nodes: NodeSet, extra: int):

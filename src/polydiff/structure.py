@@ -13,6 +13,10 @@ conjugate the (trivially correct) monomial matrix by the basis-change matrix M
 of monomial images x^k, which ``monomial_images`` builds by each family's rule.
 The nilpotency index n + 1 is the longest Krylov chain D^k e_j over the
 basis vectors; for every basis here the chain from the last element has it.
+
+The four checks of these exact identities, ``jordan_check``, ``verify_generalized_inverse``,
+``nilpotency_index`` and ``conjugation_oracle``, compare with ``==`` and refuse any field but
+the rationals.  Float ``--pinv`` runs ``monomial_images``, ``build_V``, ``pseudo_inverse``, ``invert_matrix``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .core import (
     HermiteBasis,
     SingularMatrixError,
     _integer_scaled,
-    approx_equal,
     one_of,
     zero_of,
 )
@@ -177,11 +180,17 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
     return DenseMatrix.from_rows([row[n:] for row in a], M.field)
 
 
-def jordan_check(D: DenseMatrix, V: DenseMatrix, tol: float = 1e-10) -> bool:
-    """Does D V = V J hold (exactly over rationals, to tol otherwise)?"""
+def _exact(check: str, *matrices: DenseMatrix) -> None:   # the one rule of the four checks
+    if any(M.field is not Field.RATIONAL for M in matrices):
+        raise ValueError(f"{check} needs the exact rational field")
+
+
+def jordan_check(D: DenseMatrix, V: DenseMatrix) -> bool:
+    """Does D V = V J hold?"""
     if D.rows != D.cols or (V.rows, V.cols) != (D.rows, D.cols):
         raise ValueError("dimension mismatch")
-    return approx_equal(D * V, _shift_columns(V, 1), tol)
+    _exact("jordan check", D, V)
+    return D * V == _shift_columns(V, 1)
 
 
 def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
@@ -196,12 +205,13 @@ def pseudo_inverse(D: DenseMatrix, V: DenseMatrix) -> DenseMatrix:
     return _shift_columns(V, -1) * invert_matrix(V)
 
 
-def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix, tol: float = 1e-10) -> bool:
+def verify_generalized_inverse(D: DenseMatrix, Dp: DenseMatrix) -> bool:
     """Check D D+ D = D and D+ D D+ = D+ as X D = D and D+ X = D+, X = D D+ formed once."""
+    _exact("generalized inverse check", D, Dp)
     if (D.rows, D.cols) != (Dp.rows, Dp.cols):
         return False
     X = D * Dp
-    return approx_equal(X * D, D, tol) and approx_equal(Dp * X, Dp, tol)
+    return X * D == D and Dp * X == Dp
 
 
 def nilpotency_index(D: DenseMatrix) -> int:
@@ -217,8 +227,7 @@ def nilpotency_index(D: DenseMatrix) -> int:
     """
     if D.rows != D.cols:
         raise ValueError("nilpotency is a property of square matrices")
-    if D.field is not Field.RATIONAL:
-        raise ValueError("nilpotency index needs the exact rational field")
+    _exact("nilpotency index", D)
     n, L = D.rows, math.lcm(*(d for d, _ in D._int_rows()))
     A, index = [[x * (L // d) for x in r] for d, r in D._int_rows()], 0
     for j in (n - 1, *range(n - 1)):
@@ -244,8 +253,7 @@ def conjugation_oracle(basis) -> DenseMatrix:
     scaled by k.  Its cost is mostly inverting M.
     """
     M = monomial_images(basis)
+    _exact("conjugation oracle", M)
     MJ, n = _shift_columns(M, 1), M.rows
-    MD = (DenseMatrix._from_ints(n, [(d, list(map(mul, range(n), r))) for d, r in MJ._int_rows()])
-          if M.field is Field.RATIONAL else
-          DenseMatrix(n, n, [k * e for i in range(n) for k, e in enumerate(MJ.row(i))], M.field))
+    MD = DenseMatrix._from_ints(n, [(d, list(map(mul, range(n), r))) for d, r in MJ._int_rows()])
     return MD * invert_matrix(M)

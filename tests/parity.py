@@ -5,6 +5,10 @@ exit code, stdout and stderr of one in-process call of ``polydiff.cli.main``:
 
 - every request of the benchmark's catalogue, ``perfbench/refs/cli_catalogue.json``
   of the checkout this script sits in;
+- ``matrix ... --pinv`` in the floating fields, which no catalogue request
+  asks for: Newton, Lagrange, Hermite and a recurrence over the reals and
+  Lagrange on the fourth roots of unity over the complex numbers, each with the
+  floating-point warning on stderr;
 - ``experiment`` at its default sizes, each of the three experiments on each of
   the two node families;
 - ``verify``.
@@ -34,6 +38,15 @@ from polydiff.cli import main
 
 CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "cli_catalogue.json"
 
+FLOAT_PINV = [
+    ["--basis", "newton", "--nodes", "-1,-0.5,0.5,1", "--field", "real"],
+    ["--basis", "lagrange", "--nodes", "-1,-0.5,0.5,1", "--field", "real"],
+    ["--basis", "hermite", "--nodes", "-1,0,1", "--confluency", "2,1,2", "--field", "real"],
+    ["--basis", "recurrence", "--alpha", "1,0.5,0.5,0.5", "--beta", "0,0,0,0",
+     "--gamma", "0,0.5,0.5,0.5", "--field", "real"],
+    ["--basis", "lagrange", "--nodes", "1,i,-1,-i", "--field", "complex"],
+]
+
 
 def digest(argv: list[str]) -> str:
     """sha256 of the exit code, stdout and stderr of one CLI call; an escaping exception stands for the code."""
@@ -55,6 +68,8 @@ def listing() -> list[str]:
     runs = [(f"catalogue {i}: " + " ".join(req["argv"]),
              [f"@{tok[6:]}" if tok.startswith("@FILE:") else tok for tok in req["argv"]])
             for i, req in enumerate(catalogue["requests"])]
+    runs += [(f"float pinv {i}: matrix " + " ".join(flags), ["matrix", *flags, "--pinv"])
+             for i, flags in enumerate(FLOAT_PINV)]
     runs += [(f"experiment {which} {nodes}", ["experiment", "--which", which, "--nodes", nodes])
              for which in experiments.EXPERIMENTS for nodes in experiments.NODE_FAMILIES]
     runs.append(("verify", ["verify"]))

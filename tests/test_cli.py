@@ -13,6 +13,7 @@ import polydiff.cli
 import polydiff.degree_graded
 import polydiff.hermite
 import polydiff.lagrange
+import polydiff.verify
 from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.cli import (
     UsageError,
@@ -435,6 +436,15 @@ def test_matrix_out_writes_file(tmp_path, capsys):
         "matrix", "--basis", "monomial", "--degree", "2", "--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_text() == "0,1,0\n0,0,2\n0,0,0\n"
+
+
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "D.csv"
+    code, out, err = run_cli(capsys, [
+        "matrix", "--basis", "monomial", "--degree", "2", "--out", str(target)])
+    assert code == 2 and out == "" and not target.exists()
+    assert len(err.splitlines()) == 1 and f"cannot write {str(target)!r}" in err
+    assert "Traceback" not in err
 
 
 def test_matrix_pinv_chebyshev_is_antideriv(capsys):
@@ -895,6 +905,13 @@ def test_verify_basis_filter(capsys):
     assert all(line.startswith("PASS bernstein-") for line in lines[:-1])
 
 
+def test_run_checks_names_the_known_bases_for_an_unknown_one():
+    with pytest.raises(ValueError) as exc:
+        polydiff.verify.run_checks("nope")
+    assert str(exc.value) == f"unknown basis 'nope'; expected one of {polydiff.verify.KNOWN_BASES}"
+    assert "hermite" in polydiff.verify.KNOWN_BASES and "recurrence" not in polydiff.verify.KNOWN_BASES
+
+
 def test_verify_detects_corruption(monkeypatch, capsys):
     def corrupt(n):
         return DenseMatrix.identity(n + 1)
@@ -918,6 +935,14 @@ def _doubled(constructor):
 
 def _identity(constructor):
     return lambda *args: DenseMatrix.identity(constructor(*args).rows)
+
+
+def _first_weight_doubled(constructor):
+    # b_00 doubled: _doubled would repeat the GenBaryWeights tuple instead
+    def corrupted(*args):
+        w = constructor(*args)
+        return w._replace(weights=((2 * w.weights[0][0], *w.weights[0][1:]), *w.weights[1:]))
+    return corrupted
 
 
 @pytest.mark.parametrize("module,name,corrupt,basis,failed", [
@@ -949,6 +974,7 @@ def _identity(constructor):
     ("degree_graded", "monomial_diff_matrix", _doubled, "monomial", {"monomial-explicit-vs-recurrence"}),
     ("degree_graded", "legendre_diff_matrix", _doubled, "legendre",
      {"legendre-row-pattern", "legendre-antideriv-inverts"}),
+    ("hermite", "gen_bary_weights", _first_weight_doubled, "hermite", {"hermite-partial-fractions"}),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else v if isinstance(v, str) else "")
 def test_verify_fails_exactly_the_checks_of_a_corrupted_constructor(
         monkeypatch, capsys, module, name, corrupt, basis, failed):

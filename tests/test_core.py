@@ -16,9 +16,9 @@ from polydiff.core import (
     DenseMatrix,
     Field,
     FieldError,
+    HermiteBasis,
     LagrangeBasis,
     NodeSet,
-    approx_equal,
     as_node_set,
     coerce_scalar,
     field_of,
@@ -456,7 +456,7 @@ def test_equality_and_hash_agree_between_entries_and_integer_rows():
         assert K == F and F == K and hash(K) == hash(F)
         if entries:
             other = _integer_form(DenseMatrix(n, k, entries[:-1] + [entries[-1] + Fraction(1, 3)]))
-            assert K != other and other != A and not approx_equal(A, other)
+            assert K != other and other != A and A != other
 
 
 def test_exact_kernels_agree_with_fraction_references():
@@ -733,18 +733,19 @@ def test_every_entry_point_refuses_by_the_rule_its_descriptor_states(rule, entry
     entry(good)
 
 
-# ---------------------------------------------------------------- approx
+def test_matrix_equality_with_other_types_is_false():
+    A = DenseMatrix.identity(1)
+    assert A.__eq__(3) is NotImplemented
+    assert (A == 3) is False and (3 == A) is False and A != 3
 
-def test_approx_equal_scales_by_magnitude():
-    assert approx_equal(DenseMatrix.from_rows([[1e10, 0.0]]),
-                        DenseMatrix.from_rows([[1e10 + 1.0, 0.0]]), tol=1e-9)
-    assert not approx_equal(DenseMatrix.from_rows([[1.0, 0.0]]),
-                            DenseMatrix.from_rows([[1.0, 1e-3]]), tol=1e-9)
-    A = DenseMatrix.from_rows([[1.0]])
-    assert approx_equal(A, DenseMatrix.from_rows([[1.0 + 1e-12]]))
-    assert not approx_equal(A, DenseMatrix.zeros(2, 1))
-    # two rational matrices compare exactly, a rational and a float one within tol
-    R = DenseMatrix.from_rows([[Fraction(1), Fraction(-2, 3)]])
-    assert not approx_equal(R, DenseMatrix.from_rows([[1 + Fraction(1, 10 ** 30), Fraction(-2, 3)]]))
-    assert approx_equal(R, DenseMatrix.from_rows([[1.0 + 1e-12, -2 / 3]]))
-    assert approx_equal(DenseMatrix.from_rows([[1.0 + 1e-12, -2 / 3]]), R)
+
+def test_reprs_name_the_instance():
+    assert repr(DenseMatrix.zeros(2, 3)) == "DenseMatrix(2x3, rational)"
+    assert repr(DenseMatrix.identity(2, Field.COMPLEX)) == "DenseMatrix(2x2, complex)"
+    assert repr(DegreeGradedBasis(monomial_recurrence(3), 3, "monomial")) == \
+        "DegreeGradedBasis(monomial, degree=3)"
+    assert repr(HermiteBasis(NodeSet([0, 1], [2, 1]))) == \
+        "HermiteBasis(NodeSet([Fraction(0, 1), Fraction(1, 1)], [2, 1]))"
+    assert repr(LagrangeBasis([0.5])) == "LagrangeBasis(NodeSet([0.5], [1]))"
+    assert repr(BernsteinBasis(4)) == "BernsteinBasis(degree=4)"
+    assert repr(RecurrenceSpec([1.0, 2.0])) == "RecurrenceSpec(n=2, field=real)"

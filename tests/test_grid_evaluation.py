@@ -31,7 +31,6 @@ from polydiff.hermite import (
     constant_data,
     gen_bary_weights,
     hermite_eval,
-    node_polynomial_value,
 )
 from polydiff.lagrange import eval_first_form, eval_second_form
 
@@ -109,11 +108,6 @@ def test_list_kernels_equal_the_one_point_loops(kind, s):
     assert [repr(v) for v in hermite_eval(w, data, zs)] == want
     assert [repr(v) for v in hermite_eval(w, iter(data), (z for z in zs))] == want
     assert [repr(v) for z in zs for v in hermite_eval(w, data, [z])] == want
-    off = [z for z in zs if z not in ns.nodes]
-    assert [repr(v) for v in node_polynomial_value(ns, off)] == \
-        [repr(orc.node_polynomial_at(ns, z)) for z in off]
-    assert [repr(v) for v in node_polynomial_value(ns, (z for z in off))] == \
-        [repr(orc.node_polynomial_at(ns, z)) for z in off]
     if ns.is_simple:
         assert [repr(v) for v in eval_first_form(w, iter(data), (z for z in zs))] == want
         want = [repr(orc.second_form_at(w, data, z)) for z in zs]
@@ -299,8 +293,6 @@ def test_empty_lists_and_bad_counts():
     w = gen_bary_weights(NodeSet([-1.0, 0.0, 1.0], [2, 1, 1]))
     assert hermite_eval(w, constant_data(w.nodes), []) == []
     assert hermite_eval(w, constant_data(w.nodes), iter(())) == []
-    assert node_polynomial_value(w.nodes, []) == []
-    assert node_polynomial_value(w.nodes, iter(())) == []
     with pytest.raises(ValueError, match="expected 4 data entries, got 3"):
         hermite_eval(w, [1.0, 2.0, 3.0], [0.5])
     with pytest.raises(ValueError, match="expected 4 data entries, got 3"):

@@ -10,7 +10,6 @@ import pytest
 
 from polydiff.core import DenseMatrix, LagrangeBasis, NodeSet, mat_apply
 from polydiff.experiments import chebyshev_points
-from polydiff.hermite import node_polynomial_value
 from polydiff.lagrange import (
     bary_weights,
     diff_matrix_lagrange,
@@ -51,12 +50,6 @@ def test_weights_match_product_formula():
 def test_weights_reject_confluent_nodes():
     with pytest.raises(ValueError):
         bary_weights(NodeSet([0, 1], [2, 1]))
-
-
-def test_node_polynomial_value_with_confluency():
-    ns = NodeSet([0, 2], [2, 1])
-    z = Fraction(5)
-    assert node_polynomial_value(ns, [z]) == [5 * 5 * 3]
 
 
 # ---------------------------------------------------------------- evaluation

@@ -504,7 +504,45 @@ def test_pseudo_inverse_complex_lagrange():
     for i in range(4):
         for j in range(4):
             assert abs(Dp[i, j] - want[i][j] / 24) <= 1e-13
-    assert verify_generalized_inverse(D, Dp, tol=1e-12)
+    # D D+ D = D and D+ D D+ = D+ as X D = D and D+ X = D+, X = D D+, entrywise within
+    # 1e-12 times the largest magnitude on either side (at least 1)
+    X = D * Dp
+    for A, B in ((X * D, D), (Dp * X, Dp)):
+        scale = max([1.0] + [abs(x) for x in (*A.entries, *B.entries)])
+        assert all(abs(x - y) <= 1e-12 * scale for x, y in zip(A.entries, B.entries))
+    with pytest.raises(ValueError, match="^generalized inverse check needs the exact rational field$"):
+        verify_generalized_inverse(D, Dp)
+
+
+# each structural check of a basis and its matrix D, true on a correct rational instance
+STRUCTURAL_CHECKS = {
+    "jordan check": lambda basis, D: jordan_check(D, build_V(monomial_images(basis))),
+    "generalized inverse check": lambda basis, D: verify_generalized_inverse(
+        D, pseudo_inverse(D, build_V(monomial_images(basis)))),
+    "nilpotency index": lambda basis, D: nilpotency_index(D) == basis.dimension,
+    "conjugation oracle": lambda basis, D: conjugation_oracle(basis) == D,
+}
+
+
+@pytest.mark.parametrize("check", STRUCTURAL_CHECKS)
+def test_structural_checks_refuse_floating_fields(check):
+    for basis, D, _ in family_cases():
+        assert STRUCTURAL_CHECKS[check](basis, D), f"{check} on {basis!r}"
+    # a real and a complex Lagrange instance, both of which float --pinv serves
+    for nodes in ([-1.0, 0.0, 0.5, 2.0], [1, 1j, -1, -1j]):
+        ns = NodeSet(nodes)
+        with pytest.raises(ValueError, match=f"^{check} needs the exact rational field$"):
+            STRUCTURAL_CHECKS[check](LagrangeBasis(ns), diff_matrix_lagrange(ns))
+
+
+def test_mismatched_shapes():
+    D, V = DenseMatrix.zeros(3, 3), DenseMatrix.identity(2)
+    for check in (jordan_check, pseudo_inverse):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            check(D, V)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            check(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(2, 3))
+    assert verify_generalized_inverse(D, V) is False
 
 
 # ---------------------------------------------------------------- nilpotency
