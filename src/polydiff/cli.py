@@ -279,16 +279,8 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------ experiment
 
 def cmd_experiment(args) -> int:
-    if args.which == "lagrange-error":
-        if args.confluency not in (None, 1):
-            raise UsageError("lagrange-error runs at confluency 1")
-        confluency = 1
-    else:
-        confluency = 3 if args.confluency is None else args.confluency
-        if confluency < 1:
-            raise UsageError("confluency must be at least 1")
     sizes = parse_int_list(args.n) if args.n is not None else None
-    records = experiments.run_experiment(args.which, args.nodes, confluency, sizes)
+    records = experiments.run_experiment(args.which, args.nodes, args.confluency, sizes)
     for r in records:
         # the norms and the maximum keep inf and nan, so a record's own fields show every value
         bad = [q for q in ("norm_D", "norm_Z", "max_err") if not math.isfinite(getattr(r, q) or 0.0)]
@@ -347,8 +339,8 @@ def _parser_tree() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a conditioning experiment, CSV output")
     e.add_argument("--which", required=True, choices=experiments.EXPERIMENTS)
     e.add_argument("--nodes", choices=experiments.NODE_FAMILIES, default="chebyshev")
-    e.add_argument("--confluency", type=int,
-                   help="confluency at every node (default 3 for the hermite experiments)")
+    e.add_argument("--confluency", type=int, help="confluency at every node (default "
+                   f"{experiments.DEFAULT_CONFLUENCY} for the hermite experiments)")
     e.add_argument("--n", help="comma list of sizes overriding the built-in list")
     e.add_argument("--out", help="write to this path instead of standard output")
     e.set_defaults(func=cmd_experiment)

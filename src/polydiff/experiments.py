@@ -25,6 +25,7 @@ from .core import NodeSet, mat_apply, mat_inf_norm, vec_inf_norm
 from .hermite import constant_data, diff_matrix_hermite, gen_bary_weights, hermite_eval
 
 DEFAULT_SIZES = (3, 5, 8, 13, 21, 34, 55)
+DEFAULT_CONFLUENCY = 3
 GRID_POINTS = 1001
 GRID_NOTE = f"grid: {GRID_POINTS} uniform points on [-1,1]"
 
@@ -83,24 +84,24 @@ def hermite_error_record(n: int, family: str, confluency: int) -> ExperimentReco
 
 
 def run_experiment(which: str, node_family: str = "chebyshev",
-                   confluency: int = 3, ns=None) -> list[ExperimentRecord]:
-    """One record per size; sizes default to the built-in list."""
+                   confluency: int | None = None, ns=None) -> list[ExperimentRecord]:
+    """One record per size; sizes default to the built-in list, the confluency to the experiment's own."""
     if which not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {which!r}; expected one of {EXPERIMENTS}")
     if node_family not in NODE_FAMILIES:
         raise ValueError(f"unknown node family {node_family!r}")
+    if confluency is None:   # lagrange-error is the confluency-1 case of hermite-error
+        confluency = 1 if which == "lagrange-error" else DEFAULT_CONFLUENCY
+    elif which == "lagrange-error" and confluency != 1:
+        raise ValueError("lagrange-error runs at confluency 1")
+    record = hermite_norms_record if which == "hermite-norms" else hermite_error_record
     sizes = tuple(ns) if ns is not None else DEFAULT_SIZES
     out = []
     for n in sizes:
         if n < 1:
             raise ValueError("sizes must be positive")
         try:
-            if which == "hermite-norms":
-                out.append(hermite_norms_record(n, node_family, confluency))
-            else:
-                # lagrange-error is the confluency-1 case of hermite-error
-                s = confluency if which == "hermite-error" else 1
-                out.append(hermite_error_record(n, node_family, s))
+            out.append(record(n, node_family, confluency))
         except ArithmeticError as exc:
             raise ArithmeticError(f"at n={n}: {exc}") from exc
     return out

@@ -93,6 +93,11 @@ def monomial_images(basis) -> DenseMatrix:
             t = max(nodes.nodes, key=abs)
             raise OverflowError(f"x^{dim - 1} at node t_{nodes.nodes.index(t)} = {t!r} is outside the "
                                 "floating-point range") from None
+        j = min((dim - 1) // 2, max(nodes.confluencies) - 1)   # C(dim - 1, j) is the largest binomial
+        try:   # each entry converts its binomial to a float, so this one overflows first
+            float(math.comb(dim - 1, j))
+        except OverflowError:
+            raise OverflowError(f"the binomial C({dim - 1}, {j}) is outside the floating-point range") from None
         return DenseMatrix(dim, dim, [math.comb(k, j) * p[k - j] if k >= j else zero for p, s in
                                       zip(powers, nodes.confluencies) for j in range(s) for k in range(dim)])
     raise TypeError(f"unsupported basis: {basis!r}")

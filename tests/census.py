@@ -35,7 +35,12 @@ def code_lines(path: Path) -> set[int]:
 
 
 def census() -> list[str]:
-    package = os.path.dirname(importlib.util.find_spec("polydiff").origin)   # found, not imported
+    spec = importlib.util.find_spec("polydiff")   # found, not imported
+    if spec is None:
+        print("census.py: polydiff is not on the path; run it as PYTHONPATH=src python3 tests/census.py",
+              file=sys.stderr)
+        sys.exit(2)
+    package = os.path.dirname(spec.origin)
     hit = {os.path.join(package, name): set() for name in sorted(os.listdir(package)) if name.endswith(".py")}
 
     def local(frame, event, arg):

@@ -11,6 +11,9 @@ exit code, stdout and stderr of one in-process call of ``polydiff.cli.main``:
   floating-point warning on stderr;
 - ``experiment`` at its default sizes, each of the three experiments on each of
   the two node families;
+- three ``experiment`` requests that exit 2: ``lagrange-error`` at confluency 2,
+  ``hermite-norms`` at confluency 0 and ``hermite-norms`` with a size that is not
+  an integer;
 - ``verify``.
 
 The catalogue's ``@FILE:`` inputs are written into the working directory and
@@ -47,6 +50,12 @@ FLOAT_PINV = [
     ["--basis", "lagrange", "--nodes", "1,i,-1,-i", "--field", "complex"],
 ]
 
+EXPERIMENT_REFUSALS = [
+    ["--which", "lagrange-error", "--confluency", "2"],
+    ["--which", "hermite-norms", "--confluency", "0"],
+    ["--which", "hermite-norms", "--n", "3,x"],
+]
+
 
 def digest(argv: list[str]) -> str:
     """sha256 of the exit code, stdout and stderr of one CLI call; an escaping exception stands for the code."""
@@ -72,6 +81,8 @@ def listing() -> list[str]:
              for i, flags in enumerate(FLOAT_PINV)]
     runs += [(f"experiment {which} {nodes}", ["experiment", "--which", which, "--nodes", nodes])
              for which in experiments.EXPERIMENTS for nodes in experiments.NODE_FAMILIES]
+    runs += [(f"experiment refusal {i}: " + " ".join(flags), ["experiment", *flags])
+             for i, flags in enumerate(EXPERIMENT_REFUSALS)]
     runs.append(("verify", ["verify"]))
     return [f"{digest(argv)}  {label}" for label, argv in runs]
 

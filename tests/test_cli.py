@@ -799,6 +799,19 @@ def test_instance_rules_print_the_descriptors_message(capsys, argv, message):
     assert run_cli(capsys, argv) == (2, "", f"polydiff: error: {message}\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--which", "lagrange-error", "--confluency", "2"], "lagrange-error runs at confluency 1"),
+    (["--which", "hermite-norms", "--confluency", "0"], "confluencies must be at least 1"),
+    (["--which", "hermite-error", "--confluency", "-1"], "confluencies must be at least 1"),
+    # the sizes are read before any confluency rule applies
+    (["--which", "hermite-norms", "--n", "3,x", "--confluency", "0"],
+     "expected a comma list of integers, got '3,x'"),
+])
+def test_experiment_rules_print_the_library_message(capsys, flags, message):
+    # the CLI holds no confluency rule of its own: it prints what run_experiment or NodeSet raises
+    assert run_cli(capsys, ["experiment", *flags]) == (2, "", f"polydiff: error: {message}\n")
+
+
 @pytest.mark.parametrize("which, n, s, why", [
     # without these checks they exited 0: max_err read 0.0 at 718, norm_D inf and norm_Z 0.0 at 240
     ("lagrange-error", 718, 1, "the weight b_346,0 = inf is outside the floating-point range"),

@@ -10,6 +10,7 @@ import pytest
 
 from polydiff.core import NodeSet, mat_inf_norm
 from polydiff.experiments import (
+    DEFAULT_CONFLUENCY,
     DEFAULT_SIZES,
     ExperimentRecord,
     chebyshev_points,
@@ -43,6 +44,24 @@ def test_run_experiment_validates_input():
         run_experiment("hermite-norms", node_family="legendre")
     with pytest.raises(ValueError):
         run_experiment("lagrange-error", ns=[0])
+
+
+def test_each_experiment_has_its_own_default_confluency():
+    assert DEFAULT_CONFLUENCY == 3
+    for which, s in [("hermite-norms", 3), ("hermite-error", 3), ("lagrange-error", 1)]:
+        assert [r.confluency for r in run_experiment(which, ns=[3, 4])] == [s, s]
+    assert run_experiment("lagrange-error", confluency=1, ns=[3]) == run_experiment("lagrange-error", ns=[3])
+
+
+@pytest.mark.parametrize("which", ["hermite-norms", "hermite-error", "lagrange-error"])
+def test_run_experiment_states_the_confluency_rules(which):
+    if which == "lagrange-error":
+        for s in (0, 2, 3):
+            with pytest.raises(ValueError, match="^lagrange-error runs at confluency 1$"):
+                run_experiment(which, confluency=s, ns=[3])
+    else:   # the node set's own rule
+        with pytest.raises(ValueError, match="^confluencies must be at least 1$"):
+            run_experiment(which, confluency=0, ns=[3])
 
 
 def test_default_sizes_are_used():

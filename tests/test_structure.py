@@ -200,6 +200,19 @@ def test_hermite_image_columns_agree_with_the_former_column_loop():
         assert _typed(constant_data(ns)) == _typed(M.column(0)), ns
 
 
+@pytest.mark.parametrize("node", [0.5, 0.5 + 0j])
+def test_float_hermite_images_name_the_binomial_past_the_float_range(node):
+    # an entry C(k, j) t^(k-j) converts its binomial to a float; C(1030, 515) > 2^1024 > C(1029, 514)
+    with pytest.raises(OverflowError, match=r"^the binomial C\(1030, 515\) is outside the floating-point range$"):
+        monomial_images(HermiteBasis(NodeSet([node], [1031])))
+    # a power past the range is still the one named
+    with pytest.raises(OverflowError, match=r"^x\^1030 at node t_0 = .* is outside the floating-point range$"):
+        monomial_images(HermiteBasis(NodeSet([node * 1e300], [1031])))
+    if isinstance(node, float):   # one dimension less still builds (about 5 s a field, so one field)
+        M = monomial_images(HermiteBasis(NodeSet([node], [1030])))
+        assert M.row(514)[1029] == math.comb(1029, 514) * node ** 515
+
+
 # ---------------------------------------------------------------- V and J
 
 def test_build_v_divides_by_factorials():
