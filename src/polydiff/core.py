@@ -143,7 +143,10 @@ class DenseMatrix:
     ``zeros``.  A matrix built from entries gets its rows on the first such
     read; one built from rows forms one ``Fraction`` per entry on the first
     read of ``entries``, indexing, ``row``, ``column`` or hashing, and none
-    for output in any field.  Both forms are cached.
+    for output in any field.  Both forms are cached.  An exact product puts
+    the right factor's rows over one denominator L, their lcm; a left row
+    with at most two nonzeros is that combination of them, any other row
+    a dot product with each column, and each row sits over its den times L.
     """
 
     __slots__ = ("rows", "cols", "field", "_entries", "_ints")
@@ -233,14 +236,19 @@ class DenseMatrix:
                 out = _dot_products(map(self.row, range(self.rows)),
                                     [other.column(j) for j in range(other.cols)], field)
                 return DenseMatrix(self.rows, other.cols, out, field)
-            dens = [d for d, _ in other._int_rows()]
-            cols = list(zip(*[r for _, r in other._int_rows()])) or [()] * other.cols
+            L = math.lcm(*[d for d, _ in other._int_rows()])
+            B = [r if d == L else [x * (L // d) for x in r] for d, r in other._int_rows()]
+            cols = list(zip(*B)) or [()] * other.cols
             out = []
             for den, row in self._int_rows():
-                # the right factor's row denominators join this row's, over the rows it uses
-                lcm = math.lcm(*[d for x, d in zip(row, dens) if x])
-                coef = [x * (lcm // d) for x, d in zip(row, dens)]
-                out.append((den * lcm, [sum(map(mul, coef, col)) for col in cols]))
+                if len(row) - row.count(0) > 2:
+                    nums = [sum(map(mul, row, col)) for col in cols]
+                elif len(terms := [(x, B[j]) for j, x in enumerate(row) if x]) == 2:   # x B_j + y B_k
+                    (x, u), (y, v) = terms
+                    nums = [x * s + y * t for s, t in zip(u, v)]
+                else:   # x B_j, or a zero row
+                    nums = [terms[0][0] * s for s in terms[0][1]] if terms else [0] * other.cols
+                out.append((den * L, nums))
             return DenseMatrix._from_ints(other.cols, out)
         # scalar
         field = join_fields(self.field, field_of(other))

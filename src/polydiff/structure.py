@@ -137,12 +137,14 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
 
     Floating fields pivot by magnitude on [M | I].  Rationals take the
     first nonzero pivot on integer rows A = diag(L) M, step
-    r <- (p/g) r - (f/g) r_pivot with g = gcd(p, f), and divide each new
-    row by its content, in place on n columns: after step c, position c
-    of a row holds the inverse side's column orig[c], the original row
-    that pivoted there.  A row that has not pivoted keeps its identity
-    entry as one scalar, a row that has keeps its diagonal entry, and
-    the scalar enters the row's content.  Then
+    r <- (p/g) r - (f/g) r_pivot with g = gcd(p, f), r - (f/g) r_pivot
+    at p/g = 1, and divide each new row by its content, in place on n
+    columns: after step c, position c of a row holds the inverse side's
+    column orig[c], the original row that pivoted there.  A row that has
+    not pivoted keeps its identity entry as one scalar d, a row that has
+    keeps its diagonal entry, and d enters the row's content, which so
+    divides the probe gcd(d, r[c]), r[c] being -(f/g) times the pivot
+    row's d, not 0: at a probe of 1 the row is left as it is.  Then
     M^(-1)[r][orig[c]] = a[r][c] L_orig[c] / diag[r].
     """
     if M.rows != M.cols:
@@ -163,9 +165,11 @@ def invert_matrix(M: DenseMatrix) -> DenseMatrix:
                 if r != c and (f := a[r][c]):
                     pg, fg = p // (g := math.gcd(p, f)), f // g
                     a[r][c] = 0   # so position c becomes -fg s, the entering column
-                    row = [pg * x - fg * y for x, y in zip(a[r], P)]
-                    k = math.gcd(d := pg * scalar[r], *row)
-                    a[r], scalar[r] = [x // k for x in row], d // k
+                    row = [pg * x - fg * y for x, y in zip(a[r], P)] if pg != 1 else [
+                        x - fg * y for x, y in zip(a[r], P)]
+                    a[r], scalar[r] = row, (d := pg * scalar[r])   # the content divides row[c] = -fg s
+                    if math.gcd(d, row[c]) != 1 and (k := math.gcd(d, *row)) != 1:
+                        a[r], scalar[r] = [x // k for x in row], d // k
         L = [rows[o][0] for o in orig]
         at = sorted(range(n), key=orig.__getitem__)   # at[j]: the position holding column j
         return DenseMatrix._from_ints(n, [(d, [row[c] * L[c] for c in at])
@@ -238,9 +242,9 @@ def nilpotency_index(D: DenseMatrix) -> int:
     for j in (n - 1, *range(n - 1)):
         v, k = [int(i == j) for i in range(n)], 0
         while k < n and any(v):
-            v = [sum(map(mul, row, v)) for row in A]
-            c, k = math.gcd(*v) or 1, k + 1
-            v = [x // c for x in v]
+            v, k = [sum(map(mul, row, v)) for row in A], k + 1
+            if (c := math.gcd(*v)) > 1:   # content 1 leaves v as it is, and so does a zero v
+                v = [x // c for x in v]
         if any(v):
             raise ArithmeticError("matrix is not nilpotent within its dimension")
         if k == n:

@@ -1,7 +1,8 @@
-"""Digests of the CLI outputs that byte-identity gates compare, for the polydiff on ``PYTHONPATH``.
+"""Digests of the outputs that byte-identity gates compare, for the polydiff on ``PYTHONPATH``.
 
-Prints one line per output, ``<sha256>  <label>``, each digest taken over the
-exit code, stdout and stderr of one in-process call of ``polydiff.cli.main``:
+Prints one line per output, ``<sha256>  <label>``.  First the CLI, ``listing()``,
+each digest taken over the exit code, stdout and stderr of one in-process call
+of ``polydiff.cli.main``:
 
 - every request of the benchmark's catalogue, ``perfbench/refs/cli_catalogue.json``
   of the checkout this script sits in;
@@ -15,6 +16,13 @@ exit code, stdout and stderr of one in-process call of ``polydiff.cli.main``:
   ``hermite-norms`` at confluency 0 and ``hermite-norms`` with a size that is not
   an integer;
 - ``verify``.
+
+Then the exact structure kernels, ``structure_listing()``, called directly on
+seeded rational instances of every family at dimensions 1-12: the integer rows
+of ``invert_matrix`` of the images M and of V, of ``pseudo_inverse``, of
+``conjugation_oracle`` and of D V, and the ``nilpotency_index`` of D, one digest
+per family and kernel; and the integer rows of M^(-1) for the 41 equispaced
+Lagrange nodes on [-1, 1].  ``census.py`` runs ``listing()`` alone.
 
 The catalogue's ``@FILE:`` inputs are written into the working directory and
 passed as relative paths, so an error text that names a file reads the same in
@@ -33,11 +41,24 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from polydiff import experiments
 from polydiff.cli import main
+from polydiff.core import LagrangeBasis, NodeSet
+from polydiff.degree_graded import RecurrenceSpec
+from polydiff.families import FAMILIES
+from polydiff.structure import (
+    build_V,
+    conjugation_oracle,
+    invert_matrix,
+    monomial_images,
+    nilpotency_index,
+    pseudo_inverse,
+)
 
 CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "cli_catalogue.json"
 
@@ -70,6 +91,51 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 
+def _instance(name: str, dim: int, rng: random.Random):
+    """A seeded rational instance of family ``name`` with dimension ``dim``."""
+    def rationals(count):
+        pool = sorted({Fraction(p, q) for p in range(-9, 10) if p for q in range(1, 6)})
+        return rng.sample(pool, count)
+    arg = FAMILIES[name].arg
+    if arg == "degree":
+        return dim - 1
+    if arg == "recurrence":
+        return RecurrenceSpec(*(rationals(dim - 1) for _ in range(3))), dim - 1
+    count = rng.randint(1, dim) if name == "hermite" else dim
+    conf = [1] * count
+    for _ in range(dim - count):
+        conf[rng.randrange(count)] += 1
+    return NodeSet(rationals(count), conf)
+
+
+def _rows_digest(values) -> str:
+    """sha256 of a list of integers and matrices, each matrix as its integer rows."""
+    return hashlib.sha256(json.dumps([v if isinstance(v, int) else v._int_rows()
+                                      for v in values]).encode()).hexdigest()
+
+
+def structure_listing() -> list[str]:
+    """One digest per family and exact structure kernel over dimensions 1-12, and the 41-node M^(-1)."""
+    lines = []
+    for name, family in FAMILIES.items():
+        rng, kernels = random.Random(name), {}
+        for dim in range(1, 13):
+            arg = _instance(name, dim, rng)
+            basis, D = family.basis(arg), family.diff_matrix(arg)
+            M = monomial_images(basis)
+            V = build_V(M)
+            for kernel, value in [("inverse of M", invert_matrix(M)), ("inverse of V", invert_matrix(V)),
+                                  ("pseudo_inverse", pseudo_inverse(D, V)),
+                                  ("conjugation_oracle", conjugation_oracle(basis)),
+                                  ("D V", D * V), ("nilpotency_index", nilpotency_index(D))]:
+                kernels.setdefault(kernel, []).append(value)
+        lines += [f"{_rows_digest(values)}  structure {name} 1-12: {kernel}"
+                  for kernel, values in kernels.items()]
+    M = monomial_images(LagrangeBasis(NodeSet([Fraction(k - 20, 20) for k in range(41)])))
+    lines.append(f"{_rows_digest([invert_matrix(M)])}  structure lagrange 41 equispaced: inverse of M")
+    return lines
+
+
 def listing() -> list[str]:
     catalogue = json.loads(CATALOGUE.read_text())
     for name, text in catalogue["files"].items():
@@ -89,4 +155,4 @@ def listing() -> list[str]:
 
 if __name__ == "__main__":
     print("polydiff from", Path(sys.modules["polydiff"].__file__).parent, file=sys.stderr)
-    print("\n".join(listing()))
+    print("\n".join(listing() + structure_listing()))

@@ -444,6 +444,40 @@ def test_products_of_empty_and_unit_shapes():
             assert _typed(C.entries) == _typed(want)
 
 
+def test_sparse_exact_products_combine_rows_of_the_right_factor():
+    """Left rows with 0, 1, 2 and 3 or more nonzeros, against right rows over distinct
+    denominators with one zero row, and the empty shapes on either side."""
+    rng = random.Random(36)
+
+    def nonzero():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+
+    def sparse_row(k, count):
+        row = [0] * k
+        for j in rng.sample(range(k), count):
+            row[j] = nonzero()
+        return row
+
+    cases = []
+    for k, m in [(1, 3), (2, 4), (3, 3), (5, 2), (8, 6)]:
+        dens = rng.sample(range(2, 60), k)
+        right = [[Fraction(rng.randint(-99, 99) or 1, den) for _ in range(m)] for den in dens]
+        right[rng.randrange(k)] = [0] * m
+        left = [sparse_row(k, count) for count in range(k + 1) for _ in range(3)]
+        cases.append((left, right, m))
+    cases += [([], [[nonzero() for _ in range(3)] for _ in range(4)], 3),   # 0 x k times k x 3
+              ([sparse_row(4, c) for c in (0, 1, 2, 4)], [[] for _ in range(4)], 0)]   # k x 0
+    for left, right, m in cases:
+        A = DenseMatrix(len(left), len(right), [x for row in left for x in row])
+        B = DenseMatrix(len(right), m, [x for row in right for x in row])
+        C = A * B
+        want = orc.matmul_by_fractions(left, right, m)
+        assert (C.rows, C.cols) == (len(left), m) and C.to_rows() == want
+        assert all(type(e) is Fraction for e in C.entries)
+        for den, nums in C._int_rows():
+            assert den > 0 and math.gcd(den, *nums) == 1 and len(nums) == m
+
+
 def test_equality_and_hash_agree_between_entries_and_integer_rows():
     rng = random.Random(163)
     for _ in range(40):

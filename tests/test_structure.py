@@ -371,6 +371,30 @@ def test_in_place_inversion_on_dense_and_sparse_matrices():
     assert singular >= 15 and regular >= 40, (singular, regular)
 
 
+def test_images_and_v_of_lagrange_and_confluent_hermite_invert_as_the_fraction_reference():
+    """M and V = M diag(1/k!) of integer-node Lagrange and of confluent Hermite, dimensions 1 to 16."""
+    rng = random.Random(36)
+    for dim in range(1, 17):
+        count = (dim + 1) // 2   # at least one node above confluency 1 from dimension 2 on
+        conf = [1] * count
+        for _ in range(dim - count):
+            conf[rng.randrange(count)] += 1
+        nodes = rng.sample(sorted({Fraction(p, q) for p in range(-6, 7) for q in (1, 2, 3)}), count)
+        for basis in (LagrangeBasis(NodeSet(rng.sample(range(-dim, dim + 1), dim))),
+                      HermiteBasis(NodeSet(nodes, conf))):
+            M = monomial_images(basis)
+            for X in (M, build_V(M)):
+                want = [x for row in orc.gauss_jordan_inverse(X.to_rows()) for x in row]
+                assert _typed(invert_matrix(X).entries) == _typed(want), (basis, dim)
+
+
+def test_inversion_divides_a_row_by_its_content_and_by_nothing_else():
+    # steps 1 and 2 update row 0 with gcd(d, row[c]) = 2 but content 1: the probe alone is no divisor
+    assert not _inverts_as_reference([[-2, -4, -4], [-1, -1, -2], [-2, 0, 1]])
+    # step 2 updates rows 0 and 1 with content 2, which the row and its scalar both lose
+    assert not _inverts_as_reference([[1, 3, -1], [2, 4, -3], [-1, -4, -1]])
+
+
 def _rational_instance(name, dim, rng):
     """A rational instance of family ``name`` with dimension ``dim``."""
     def rationals(count):
