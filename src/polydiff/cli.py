@@ -292,9 +292,21 @@ def cmd_experiment(args) -> int:
 
 # ------------------------------------------------------------ driver
 
-def build_parser() -> argparse.ArgumentParser:
-    """A copy of the tree built once, so what one caller sets on it stays on that copy."""
-    return copy.copy(_parser_tree())
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A copy of the tree built once, or of the parser in it of subcommand ``command`` if that names one,
+    so what one caller sets on it stays on that copy.  Either one's ``parse_args`` takes the whole argv."""
+    tree = _parser_tree()
+    return copy.copy(tree.commands.get(command, tree))
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser.  Its ``parse_args`` takes the whole argv, command name first, and parses the
+    rest as the tree would have it parse them; an argv that leaves extras goes to a copy of the tree,
+    whose error names them in argparse's own words."""
+
+    def parse_args(self, args):
+        known, extras = self.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+        return copy.copy(_parser_tree()).parse_args(args) if extras else known
 
 
 @functools.cache
@@ -302,7 +314,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polydiff",
         description="Differentiation matrices for polynomial bases.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     m = sub.add_parser("matrix", help="emit a differentiation matrix")
     m.add_argument("--basis", required=True, choices=tuple(FAMILIES))
@@ -344,6 +356,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     e.add_argument("--n", help="comma list of sizes overriding the built-in list")
     e.add_argument("--out", help="write to this path instead of standard output")
     e.set_defaults(func=cmd_experiment)
+    p.commands = sub.choices   # name -> subcommand parser, for build_parser
     return p
 
 
@@ -365,9 +378,10 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_absorb_negative_values(
-        list(sys.argv[1:] if argv is None else argv)))
+    """Run one request.  An argv whose first token is exactly a subcommand's name is parsed by that
+    subcommand's parser, which the tree would only have handed the rest; any other goes to the tree."""
+    argv = _absorb_negative_values(list(sys.argv[1:] if argv is None else argv))
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

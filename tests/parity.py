@@ -15,7 +15,13 @@ of ``polydiff.cli.main``:
 - three ``experiment`` requests that exit 2: ``lagrange-error`` at confluency 2,
   ``hermite-norms`` at confluency 0 and ``hermite-norms`` with a size that is not
   an integer;
-- ``verify``.
+- ``verify``;
+- the parse edge cases, ``PARSE_EDGES``: argvs that the whole argparse tree
+  parses (none, help, a first token that is not a subcommand's name, ``--``),
+  argvs that a subcommand's own parser parses (``--flag=value``, an
+  abbreviated flag, a repeated flag, a leading minus in ``--nodes``, help) and
+  argvs whose extras that parser hands back to the tree (``extra``,
+  ``--bogus``, a trailing ``--``), under labels ``parse edge <i>: <argv>``.
 
 Then the exact structure kernels, ``structure_listing()``, called directly on
 seeded rational instances of every family at dimensions 1-12: the integer rows
@@ -75,6 +81,20 @@ EXPERIMENT_REFUSALS = [
     ["--which", "lagrange-error", "--confluency", "2"],
     ["--which", "hermite-norms", "--confluency", "0"],
     ["--which", "hermite-norms", "--n", "3,x"],
+]
+
+# one valid request per subcommand, and argvs that take each way through the parser
+REQUESTS = {"matrix": ["--basis", "monomial", "--degree", "3"], "weights": ["--nodes", "0,1,2"],
+            "verify": ["--basis", "bernstein"], "experiment": ["--which", "hermite-norms", "--n", "3"]}
+PARSE_EDGES = [
+    [], ["-h"], ["--help"],
+    *([*lead, *REQUESTS["matrix"]] for lead in (["mat"], ["MATRIX"], ["-x"], ["--"], ["--", "matrix"])),
+    ["matrix", "--basis=monomial", "--degree=3"], ["matrix", "--basis", "monomial", "--deg", "3"],
+    ["matrix", "--basis", "monomial", "--degree", "3", "--degree", "4"], ["matrix"],
+    ["matrix", "--basis", "lagrange", "--nodes", "-1,0,1"], ["weights", "--nodes", "-1,0,1"],
+    *([command, *tail] for command, request in REQUESTS.items()
+      for tail in (["-h"], [*request, "-h"], [*request, "extra"], [*request, "extra", "more"],
+                   ["--bogus", *request], [*request, "--bogus"], [*request, "--"])),
 ]
 
 
@@ -150,6 +170,7 @@ def listing() -> list[str]:
     runs += [(f"experiment refusal {i}: " + " ".join(flags), ["experiment", *flags])
              for i, flags in enumerate(EXPERIMENT_REFUSALS)]
     runs.append(("verify", ["verify"]))
+    runs += [(f"parse edge {i}: " + " ".join(argv), argv) for i, argv in enumerate(PARSE_EDGES)]
     return [f"{digest(argv)}  {label}" for label, argv in runs]
 
 

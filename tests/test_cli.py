@@ -1,5 +1,8 @@
 """Command-line behavior: parsing, serialization, exit codes, golden outputs."""
 
+import contextlib
+import copy
+import io
 import json
 import random
 import sys
@@ -61,6 +64,7 @@ from polydiff.structure import (
 )
 
 import _oracles as orc
+from parity import PARSE_EDGES, REQUESTS
 
 
 # ---------------------------------------------------------------- scalars
@@ -1048,4 +1052,62 @@ def test_parser_tree_is_built_once_and_each_caller_gets_its_own_copy():
     first.parse_args = None
     assert second.parse_args(["verify", "--basis", "bernstein"]).basis == "bernstein"
     assert main(["verify", "--basis", "bernstein"]) == 0
+    # a subcommand's parser is handed out as a copy too
+    one, other = build_parser("matrix"), build_parser("matrix")
+    assert one is not other
+    one.parse_args = None
+    assert "parse_args" not in vars(other) and "parse_args" not in vars(_parser_tree().commands["matrix"])
+    assert other.parse_args(["matrix", "--basis", "monomial", "--degree", "2"]).degree == 2
     assert _parser_tree.cache_info().misses == 1
+
+
+def _outputs(call):
+    """Exit code, stdout and stderr of ``call()``; argparse's exit stands for the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_with_the_whole_tree(argv):
+    """``main`` as it ran when the whole tree parsed every argv."""
+    args = copy.copy(_parser_tree()).parse_args(_absorb_negative_values(argv))
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"polydiff: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"polydiff: error: arithmetic failure: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGES, ids=" ".join)
+def test_main_behaves_as_the_whole_tree_parse(argv):
+    assert _outputs(lambda: main(list(argv))) == _outputs(lambda: _main_with_the_whole_tree(list(argv)))
+    # where the tree parses, a subcommand's parser gives the same namespace, in the same order
+    tree = _outputs(lambda: vars(copy.copy(_parser_tree()).parse_args(_absorb_negative_values(argv))))
+    if isinstance(tree[0], dict):
+        direct = vars(build_parser(argv[0]).parse_args(_absorb_negative_values(argv)))
+        assert list(direct.items()) == list(tree[0].items())
+
+
+def test_each_request_calls_parse_args_once_on_what_build_parser_returns(monkeypatch):
+    # perfbench times the parse by wrapping parse_args on each parser that build_parser returns
+    calls = []
+
+    def traced_build_parser(*args):
+        parser = build_parser(*args)
+        parse = parser.parse_args
+        parser.parse_args = lambda argv: calls.append(argv) or parse(argv)
+        return parser
+
+    monkeypatch.setattr(polydiff.cli, "build_parser", traced_build_parser)
+    requests = [[command, *request] for command, request in REQUESTS.items()]
+    for argv in requests + [[*requests[0], "extra"]]:   # the last falls back to the tree
+        calls.clear()
+        _outputs(lambda: main(argv))
+        assert calls == [argv]
