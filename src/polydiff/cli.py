@@ -163,15 +163,15 @@ def matrix_to_csv(M: DenseMatrix, field: Field | None = None) -> str:
 
 
 def matrix_to_json(M: DenseMatrix, basis_name: str, field: Field | None = None) -> str:
-    """The text of ``json.dumps(record, indent=2)`` for M in ``field`` (M's own by default), joined from
-    one encoded row at a time: the row's separator quotes each text on its own line, where indent=2 puts it."""
+    """The text of ``json.dumps(record, indent=2)`` for M in ``field`` (M's own by default), joined with no
+    JSON encoder: each entry's text (``repr`` of a float, ``_complex_text``, ``str`` of an int or ``Fraction``,
+    ``_INT_TEXTS``) is ASCII digits, letters and ".+-/" alone, so needs no escape and is quoted bare."""
     field = field or M.field
-    encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    rows = ",\n    ".join(f"[\n      {encode(texts)[1:-1]}\n    ]" if M.cols else "[]"
+    rows = ",\n    ".join('[\n      "' + '",\n      "'.join(texts) + '"\n    ]' if texts else "[]"
                           for texts in _row_texts(M, field))
     entries = f"[\n    {rows}\n  ]" if M.rows else "[]"
     return (f'{{\n  "basis": {json.dumps(basis_name)},\n  "dimension": {M.rows},\n'
-            f'  "field": {json.dumps(field.value)},\n  "entries": {entries}\n}}\n')
+            f'  "field": "{field.value}",\n  "entries": {entries}\n}}\n')
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -250,14 +250,12 @@ def cmd_weights(args) -> int:
     w = hermite.gen_bary_weights(ns)
     # gen_bary_weights refuses a weight that is not finite
     rows = [(i, j, b) for i, wi in enumerate(w.weights) for j, b in enumerate(wi)]
-    if args.fmt == "json":
-        obj = {
-            "nodes": [format_scalar(t) for t in ns.nodes],
-            "confluencies": list(ns.confluencies),
-            "field": ns.field.value,
-            "weights": [[i, j, format_scalar(b)] for i, j, b in rows],
-        }
-        text = json.dumps(obj, indent=2) + "\n"
+    if args.fmt == "json":   # the text of json.dumps(record, indent=2), joined as matrix_to_json joins it
+        nodes = '",\n    "'.join(map(format_scalar, ns.nodes))
+        confluencies = ",\n    ".join(map(str, ns.confluencies))
+        weights = ",\n    ".join(f'[\n      {i},\n      {j},\n      "{format_scalar(b)}"\n    ]' for i, j, b in rows)
+        text = (f'{{\n  "nodes": [\n    "{nodes}"\n  ],\n  "confluencies": [\n    {confluencies}\n  ],\n'
+                f'  "field": "{ns.field.value}",\n  "weights": [\n    {weights}\n  ]\n}}\n')
     else:
         text = "\n".join(f"{i},{j},{format_scalar(b)}" for i, j, b in rows) + "\n"
     _emit(text, args.out)

@@ -1,11 +1,11 @@
 """The statement lines of ``polydiff`` that the CLI's traffic never executes.
 
 Runs every call that ``parity.py`` digests (the benchmark's catalogue, the
-floating-field ``--pinv`` requests, the six ``experiment`` CSVs, ``verify``
-and the parse edge cases) in process under ``sys.settrace``, with tracing on
-before ``polydiff`` is imported, so module bodies count too.  Then prints each line
-of the package that carries code but never ran, as ``module.py:line: text``,
-and the totals on stderr.  A line counts as carrying code when the compiled
+floating-field ``--pinv`` and ``weights --format json`` requests, the six
+``experiment`` CSVs, ``verify`` and the parse edge cases) in process under
+``sys.settrace``, with tracing on before ``polydiff`` is imported, so module
+bodies count too.  Then prints each line of the package that carries code but
+never ran, as ``module.py:line: text``, and the totals on stderr.  A line counts as carrying code when the compiled
 module attributes an instruction to it, so a ``def`` line runs at import and a
 function never called shows only its body.
 

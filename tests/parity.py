@@ -10,6 +10,9 @@ of ``polydiff.cli.main``:
   asks for: Newton, Lagrange, Hermite and a recurrence over the reals and
   Lagrange on the fourth roots of unity over the complex numbers, each with the
   floating-point warning on stderr;
+- ``weights --format json`` in the floating fields, ``WEIGHTS_JSON``, where the
+  catalogue has one real request and no complex one: one node, simple nodes and
+  confluent nodes over the reals and over the complex numbers;
 - ``experiment`` at its default sizes, each of the three experiments on each of
   the two node families;
 - three ``experiment`` requests that exit 2: ``lagrange-error`` at confluency 2,
@@ -75,6 +78,15 @@ FLOAT_PINV = [
     ["--basis", "recurrence", "--alpha", "1,0.5,0.5,0.5", "--beta", "0,0,0,0",
      "--gamma", "0,0.5,0.5,0.5", "--field", "real"],
     ["--basis", "lagrange", "--nodes", "1,i,-1,-i", "--field", "complex"],
+]
+
+WEIGHTS_JSON = [
+    ["--nodes", "0.1", "--field", "real"],
+    ["--nodes", "-1,0.3,2e5", "--field", "real"],
+    ["--nodes", "0,1,-2.5", "--confluency", "2,1,3", "--field", "real"],
+    ["--nodes", "1-i", "--field", "complex"],
+    ["--nodes", "1,i,-1,-i", "--field", "complex"],
+    ["--nodes", "-0.5i,1,2+i", "--confluency", "3,1,2", "--field", "complex"],
 ]
 
 EXPERIMENT_REFUSALS = [
@@ -165,6 +177,8 @@ def listing() -> list[str]:
             for i, req in enumerate(catalogue["requests"])]
     runs += [(f"float pinv {i}: matrix " + " ".join(flags), ["matrix", *flags, "--pinv"])
              for i, flags in enumerate(FLOAT_PINV)]
+    runs += [(f"weights json {i}: weights " + " ".join(flags), ["weights", *flags, "--format", "json"])
+             for i, flags in enumerate(WEIGHTS_JSON)]
     runs += [(f"experiment {which} {nodes}", ["experiment", "--which", which, "--nodes", nodes])
              for which in experiments.EXPERIMENTS for nodes in experiments.NODE_FAMILIES]
     runs += [(f"experiment refusal {i}: " + " ".join(flags), ["experiment", *flags])

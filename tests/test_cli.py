@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -19,8 +20,11 @@ import polydiff.lagrange
 import polydiff.verify
 from polydiff.bernstein import diff_matrix_bernstein
 from polydiff.cli import (
+    _INT_TEXTS,
     UsageError,
     _absorb_negative_values,
+    _complex_text,
+    _exact_text,
     _parser_tree,
     _read_values,
     build_parser,
@@ -163,6 +167,30 @@ def test_matrix_json_is_the_text_of_the_indented_dump(values, shape):
         record = {"basis": name, "dimension": n, "field": M.field.value,
                   "entries": [[format_scalar(e) for e in M.row(i)] for i in range(n)]}
         assert matrix_to_json(M, name) == json.dumps(record, indent=2) + "\n"
+
+
+_MAX = 1.7976931348623157e308
+# any float, with the signed zeros, subnormals, extremes, infinities and nan always in the pool
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, math.inf, -math.inf, math.nan]),
+                    st.floats())
+
+
+def _int_text_or_none(field, x, den):
+    try:
+        return _INT_TEXTS[field](x, den)
+    except OverflowError:   # x / den past the float range: the CLI reports it, no text is made
+        return None
+
+
+@given(st.lists(_FLOATS, max_size=4), st.lists(st.builds(complex, _FLOATS, _FLOATS), max_size=4),
+       st.lists(st.builds(Fraction, st.integers(-10 ** 80, 10 ** 80), st.integers(1, 10 ** 80)), max_size=4),
+       st.lists(st.tuples(st.sampled_from(list(Field)), st.integers(), st.integers(min_value=1)), max_size=4))
+def test_every_output_text_is_its_own_json_string_body(floats, complexes, fractions, ints):
+    # matrix_to_json and the weights document quote these texts bare, with no encoder to escape them
+    texts = [*map(repr, floats), *map(_complex_text, complexes), *map(_exact_text, fractions),
+             *(_int_text_or_none(field, x, den) for field, x, den in ints)]
+    for t in filter(None, texts):
+        assert json.dumps(t) == '"' + t + '"'
 
 
 def test_matrix_text_refuses_an_entry_past_the_digit_limit():
@@ -896,6 +924,27 @@ def test_weights_json(capsys):
     assert obj["nodes"] == ["0", "1"]
     assert obj["confluencies"] == [2, 1]
     assert obj["weights"] == [[0, 0, "-1"], [0, 1, "-1"], [1, 0, "1"]]
+
+
+WEIGHTS_JSON_CASES = {  # field -> one node, simple nodes, confluent nodes
+    Field.RATIONAL: [("3/7", None), ("-1,1/3,2", None), ("0,1,-5/2", "2,1,3")],
+    Field.REAL: [("0.1", None), ("-1,0.3,2e5", None), ("0,1,-2.5", "2,1,3")],
+    Field.COMPLEX: [("1-i", None), ("1,i,-1,-i", None), ("-0.5i,1,2+i", "3,1,2")],
+}
+
+
+@pytest.mark.parametrize("field,nodes,confluency", [
+    (field, *case) for field, cases in WEIGHTS_JSON_CASES.items() for case in cases])
+def test_weights_json_is_the_text_of_the_indented_dump(capsys, field, nodes, confluency):
+    argv = ["weights", f"--nodes={nodes}", "--field", field.value, "--format", "json"]
+    code, out, _ = run_cli(capsys, argv + (["--confluency", confluency] if confluency else []))
+    ns = NodeSet([parse_scalar(t, field) for t in nodes.split(",")],
+                 confluency and map(int, confluency.split(",")))
+    w = polydiff.hermite.gen_bary_weights(ns).weights
+    record = {"nodes": [format_scalar(t) for t in ns.nodes], "confluencies": list(ns.confluencies),
+              "field": field.value,
+              "weights": [[i, j, format_scalar(b)] for i, wi in enumerate(w) for j, b in enumerate(wi)]}
+    assert code == 0 and out == json.dumps(record, indent=2) + "\n"
 
 
 def test_weights_nodes_from_file(tmp_path, capsys):
